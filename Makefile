@@ -21,8 +21,9 @@ vet:
 
 # The race detector is part of tier-1 verification: the parallel batch
 # assignment pipeline (DESIGN.md §7) promises data-race freedom and
-# bit-identical results for every worker count, and the -race-gated
-# stress tests only build here.
+# bit-identical results for every worker count, the -race-gated stress
+# tests only build here, and the serving tests run concurrent writers
+# and readers against one tenant.
 race:
 	$(GO) test -race -shuffle=on ./...
 
@@ -48,8 +49,9 @@ microbench:
 # Fuzz smoke: ten seconds per target (Go allows one -fuzz pattern per
 # invocation, hence one line each). Covers the bubble codec, the
 # codec+auditor composition, the CSV reader, the telemetry auditor,
-# snapshot parser and event codec (DESIGN.md §8), and the neighbor-index
-# differential machine (DESIGN.md §12).
+# snapshot parser and event codec (DESIGN.md §8), the neighbor-index
+# differential machine (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
+# and bubbled's JSON ingest surface (DESIGN.md §15).
 FUZZTIME ?= 10s
 audit: vet race
 	$(GO) test ./internal/neighbor -run='^$$' -fuzz='^FuzzNeighborIndex$$' -fuzztime=$(FUZZTIME)
@@ -61,16 +63,16 @@ audit: vet race
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzEventRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzGroupCommit$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzIngest$$' -fuzztime=$(FUZZTIME)
 
 # Full crash-recovery matrix (DESIGN.md §10): kill the workload at every
 # registered failpoint in every mode, resume from disk, and require the
-# final state to be bit-identical to the uninterrupted run. The pipelined
-# leg (DESIGN.md §13) replays the same property through the group-commit
-# scheduler. The env var unlocks the full matrices; plain `go test` runs a
+# final state to be bit-identical to the uninterrupted run. Every cadence
+# checkpoint is write-behind, so the checkpoint cells kill the background
+# writer. The env var unlocks the full matrix; plain `go test` runs a
 # smoke subset.
 crash:
-	INCBUBBLES_CRASH=1 $(GO) test ./internal/wal -run='^TestCrashRecoveryMatrix$$|^TestPipelinedCrashRecoveryMatrix$$' -v
+	INCBUBBLES_CRASH=1 $(GO) test ./internal/wal -run='^TestCrashRecoveryMatrix$$' -v
 
 # Service-level verification for bubbled (DESIGN.md §15): the httptest
 # suite plus the full chaos matrix — kill the server mid-ingest across

@@ -3,9 +3,9 @@
 // seed (DESIGN.md §15). Tenants are created with PUT /tenants/{name},
 // ingested into with POST /tenants/{name}/batches, and queried through
 // the snapshot-isolated /approx/* and /plot endpoints. On SIGTERM (or
-// SIGINT) the server drains gracefully: admissions stop, per-tenant
-// pipelines flush, final checkpoints are written, and the process
-// exits; a restart over the same -root resumes every tenant.
+// SIGINT) the server drains gracefully: admissions stop, queued batches
+// finish, final checkpoints are written, and the process exits; a
+// restart over the same -root resumes every tenant.
 //
 // Usage:
 //
@@ -32,11 +32,9 @@ func main() {
 		root      = flag.String("root", "", "data directory holding one subdirectory per tenant (required)")
 		seed      = flag.Int64("seed", 1, "base seed tenant seeds derive from; keep stable across restarts")
 		queue     = flag.Int("queue-depth", 16, "default per-tenant ingest queue bound (admission control)")
-		depth     = flag.Int("pipeline-depth", 2, "default per-tenant pipeline depth (0 = serial ingestion)")
 		ckptEvery = flag.Int("checkpoint-every", 8, "default checkpoint cadence in batches")
 		keepCkpt  = flag.Int("keep-checkpoints", 2, "default checkpoints retained per tenant")
-		groupMax  = flag.Int("group-commit", 4, "default records per shared WAL fsync (pipelined tenants)")
-		retries   = flag.Int("retry-attempts", 3, "default bounded attempts for retryable ingest/checkpoint faults")
+		retries   = flag.Int("retry-attempts", 3, "default bounded attempts for retryable checkpoint faults")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		debug     = flag.Bool("debug", false, "mount /debug/pprof/* on the serving mux (do not expose publicly)")
 		logJSON   = flag.Bool("log-json", true, "emit one JSON log line per request and lifecycle event on stderr")
@@ -55,10 +53,8 @@ func main() {
 		Seed: *seed,
 		Defaults: server.TenantConfig{
 			QueueDepth:      *queue,
-			PipelineDepth:   *depth,
 			CheckpointEvery: *ckptEvery,
 			KeepCheckpoints: *keepCkpt,
-			GroupCommit:     *groupMax,
 			RetryAttempts:   *retries,
 		},
 		DrainTimeout: *drainTO,

@@ -54,8 +54,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/telemetry, /debug/events, /debug/trace and /debug/pprof on this address while running")
 		walDir     = flag.String("wal-dir", "", "recovery experiment: host its WAL/checkpoint directories here (default: temp)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "recovery experiment: checkpoint cadence in batches (0 = default)")
-		pipeline   = flag.Int("pipeline", 0, "recovery experiment: ingest through the staged pipeline at this depth (0 = serial durable path)")
-		groupMax   = flag.Int("group-commit-max", 0, "recovery experiment: max WAL records per group fsync when -pipeline is set (0 = default)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the run here (plus a flame summary on stderr)")
 		traceCap   = flag.Int("trace-cap", 0, "span ring capacity; oldest spans drop beyond it (0 = default)")
 		eventsCap  = flag.Int("events-cap", 0, "telemetry event ring capacity (0 = default)")
@@ -106,8 +104,6 @@ func main() {
 			Audit:          *audit,
 			Telemetry:      sink,
 			Tracer:         tracer,
-			PipelineDepth:  *pipeline,
-			GroupCommitMax: *groupMax,
 		},
 		Fracs:           *fracs,
 		CSVDir:          *csvDir,

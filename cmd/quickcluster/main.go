@@ -40,8 +40,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve /debug/telemetry, /debug/events, /debug/trace and /debug/pprof on this address while running")
 		walDir    = flag.String("wal-dir", "", "persist the summary here (WAL + checkpoints); rerun with the same directory to resume instead of rebuilding")
 		ckptEvery = flag.Int("checkpoint-every", 0, "durable checkpoint cadence in batches (0 = default)")
-		pipeline  = flag.Int("pipeline", 0, "pipelined ingestion depth for the durable summary (0 = serial; results identical at any depth)")
-		groupMax  = flag.Int("group-commit-max", 0, "max WAL records per group fsync when -pipeline is set (0 = default)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run here (plus a flame summary on stderr)")
 		traceCap  = flag.Int("trace-cap", 0, "span ring capacity; oldest spans drop beyond it (0 = default)")
 		eventsCap = flag.Int("events-cap", 0, "telemetry event ring capacity (0 = default)")
@@ -96,8 +94,6 @@ func main() {
 		PNGOut:          *pngOut,
 		WALDir:          *walDir,
 		CheckpointEvery: *ckptEvery,
-		PipelineDepth:   *pipeline,
-		GroupCommitMax:  *groupMax,
 		Telemetry:       sink,
 		Tracer:          tracer,
 	}

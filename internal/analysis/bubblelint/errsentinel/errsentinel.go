@@ -1,9 +1,9 @@
 // Package errsentinel flags sentinel-error comparisons written with == or
 // != (or a switch over an error value with sentinel cases) instead of
 // errors.Is (DESIGN.md §14). The repository's failure paths lean on
-// sentinels — wal.ErrPoisoned, wal.ErrCheckpointRetryable,
-// pipeline.ErrClosed, io.EOF — and several of them cross wrapping
-// boundaries (%w) on their way up the pipeline: an == comparison silently
+// sentinels — wal.ErrPoisoned, failpoint.ErrCrash, io.EOF — and
+// several of them cross wrapping boundaries (%w) on their way up the
+// stack: an == comparison silently
 // stops matching the moment any layer wraps the error, which is exactly
 // how a retryable checkpoint failure once became a permanent one.
 //

@@ -22,10 +22,10 @@ func TestReportShape(t *testing.T) {
 	if rep.Schema != Schema {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	want := []string{"assign", "assign_traced", "assign_pipelined",
+	want := []string{"assign", "assign_traced",
 		"maintain", "maintain_fastpair",
 		"mergesplit", "mergesplit_bigk", "mergesplit_bigk_fastpair",
-		"wal_append", "wal_group_commit", "recovery", "optics",
+		"wal_append", "recovery", "optics",
 		"serve_ingest", "serve_ingest_traced"}
 	if len(rep.Benchmarks) != len(want) {
 		t.Fatalf("got %d benchmarks, want %d", len(rep.Benchmarks), len(want))
@@ -53,12 +53,6 @@ func TestReportShape(t *testing.T) {
 	}
 	if !hasPhase(rep, "wal_append", "wal.fsync") {
 		t.Fatal("wal_append: no fsync spans")
-	}
-	if !hasPhase(rep, "wal_group_commit", "wal.group_commit") || !hasPhase(rep, "wal_group_commit", "wal.fsync") {
-		t.Fatal("wal_group_commit: no group-commit/fsync spans")
-	}
-	if !hasPhase(rep, "assign_pipelined", "core.search.spec") || !hasPhase(rep, "assign_pipelined", "core.pipeline.stall") {
-		t.Fatal("assign_pipelined: no speculation/stall spans; scheduler not exercised")
 	}
 	if !hasPhase(rep, "recovery", "wal.replay") {
 		t.Fatal("recovery: no replay span")
@@ -253,66 +247,6 @@ func TestDiffGatesFastPairVsDense(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("fastpair-vs-dense violation not flagged: %v", regs)
-	}
-}
-
-// TestGroupCommitFsyncsFewer asserts the amortization claim inside the
-// suite itself: the group-commit workload must issue strictly fewer
-// fsyncs per op than the per-batch serial twin on the same workload.
-func TestGroupCommitFsyncsFewer(t *testing.T) {
-	rep := runShort(t)
-	byName := map[string]Result{}
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b
-	}
-	for grouped, serial := range fsyncPairs {
-		g, ok := byName[grouped]
-		s, ok2 := byName[serial]
-		if !ok || !ok2 {
-			t.Fatalf("fsync pair %s/%s missing from report", grouped, serial)
-		}
-		gf, sf := fsyncsPerOp(g), fsyncsPerOp(s)
-		if gf <= 0 || sf <= 0 {
-			t.Fatalf("fsync accounting empty: %s=%.4g %s=%.4g", grouped, gf, serial, sf)
-		}
-		if gf >= sf {
-			t.Errorf("%s issued %.4g fsyncs/op, serial twin %s issued %.4g; want strictly fewer",
-				grouped, gf, serial, sf)
-		}
-	}
-}
-
-// TestDiffGatesGroupCommitFsyncs forges a current report where the
-// group-commit workload out-fsyncs the serial twin: the cross-workload
-// gate must flag it regardless of what any baseline says.
-func TestDiffGatesGroupCommitFsyncs(t *testing.T) {
-	base := runShort(t)
-	bad := *base
-	bad.Benchmarks = append([]Result(nil), base.Benchmarks...)
-	for i, b := range bad.Benchmarks {
-		if b.Name != "wal_group_commit" {
-			continue
-		}
-		phases := append([]PhaseStat(nil), b.Phases...)
-		for j := range phases {
-			if phases[j].Name == "wal.fsync" {
-				phases[j].Spans *= 50
-			}
-		}
-		bad.Benchmarks[i].Phases = phases
-	}
-	regs, _, err := Diff(base, &bad, DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range regs {
-		if r.Benchmark == "wal_group_commit" && r.Metric == "wal_fsync_per_op_vs_serial" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("group-commit fsync violation not flagged: %v", regs)
 	}
 }
 

@@ -56,15 +56,6 @@ var fastpairPairs = map[string]string{
 	"mergesplit_bigk_fastpair": "mergesplit_bigk",
 }
 
-// fsyncPairs maps each group-commit workload to its per-batch serial
-// twin. Like the FastPair bound, this is checked within the current
-// report on every diff: group commit exists to amortize fsyncs, so the
-// grouped workload must never issue more fsyncs per op than the serial
-// one — a regression here cannot hide behind a regenerated baseline.
-var fsyncPairs = map[string]string{
-	"wal_group_commit": "wal_append",
-}
-
 // tracedPairs maps each tracing-overhead probe to its untraced twin: the
 // request-tracing path exists to be left on in production, so the traced
 // workload's wall clock must stay within tracedOverheadLimit of the
@@ -78,16 +69,6 @@ var tracedPairs = map[string]string{
 // tracedOverheadLimit is the allowed relative wall-clock cost of request
 // tracing over the untraced serving path.
 const tracedOverheadLimit = 0.05
-
-// fsyncsPerOp counts the report's "wal.fsync" phase spans per operation.
-func fsyncsPerOp(r Result) float64 {
-	for _, p := range r.Phases {
-		if p.Name == "wal.fsync" {
-			return float64(p.Spans) / float64(r.Ops)
-		}
-	}
-	return 0
-}
 
 // Diff compares a current report against a committed baseline and
 // returns the regressions plus informational notes (new benchmarks,
@@ -147,22 +128,6 @@ func Diff(base, cur *Report, opts DiffOptions) ([]Regression, []string, error) {
 			regs = append(regs, Regression{Benchmark: fp, Metric: "distance_computed_per_op_vs_dense",
 				Base: denseRes.DistanceComputedPerOp, Current: fpRes.DistanceComputedPerOp,
 				Limit: denseRes.DistanceComputedPerOp})
-		}
-	}
-	gps := make([]string, 0, len(fsyncPairs))
-	for gp := range fsyncPairs {
-		gps = append(gps, gp)
-	}
-	sort.Strings(gps)
-	for _, gp := range gps {
-		groupRes, okGroup := curByName[gp]
-		serialRes, okSerial := curByName[fsyncPairs[gp]]
-		if !okGroup || !okSerial {
-			continue
-		}
-		if g, s := fsyncsPerOp(groupRes), fsyncsPerOp(serialRes); g > s {
-			regs = append(regs, Regression{Benchmark: gp, Metric: "wal_fsync_per_op_vs_serial",
-				Base: s, Current: g, Limit: s})
 		}
 	}
 	if cur.Preset == string(PresetFull) {

@@ -16,7 +16,6 @@ import (
 	"incbubbles/internal/extract"
 	"incbubbles/internal/neighbor"
 	"incbubbles/internal/optics"
-	"incbubbles/internal/pipeline"
 	"incbubbles/internal/server"
 	"incbubbles/internal/stats"
 	"incbubbles/internal/synth"
@@ -37,14 +36,6 @@ func workloads() []workload {
 		// default-capacity tracer — the tracing overhead probe. Its
 		// deterministic metrics are identical to assign's by construction.
 		{name: "assign_traced", traceTimed: true, setup: summarizerSetup(synth.Random, false)},
-		// assign_pipelined: the same dynamics through the staged ingestion
-		// scheduler (DESIGN.md §13) in lockstep, so every batch's phase-1
-		// search is a speculation against the snapshot view that the apply
-		// stage accepts. Its distance accounting differs from assign's
-		// (pipelined summarizers reseed per ordinal; bit-identity is
-		// against the Depth-0 oracle, not the unseeded serial path); the
-		// extra spans are the speculative search and the stall probes.
-		{name: "assign_pipelined", setup: pipelinedAssignSetup},
 		// maintain: the §4 complex dynamics — appearing and disappearing
 		// clusters drive classify/merge/split maintenance rounds.
 		{name: "maintain", setup: summarizerSetup(synth.Complex, false)},
@@ -64,12 +55,6 @@ func workloads() []workload {
 		// wal_append: the durable batch path — WAL framing, append,
 		// fsync, cadence checkpoints, clean close.
 		{name: "wal_append", setup: walAppendSetup},
-		// wal_group_commit: the same durable workload committed in groups —
-		// unsynced enqueues share one group fsync, checkpoints go through
-		// the async path (barriered at each boundary to stay lockstep).
-		// benchdiff gates its fsyncs per op against wal_append's: the
-		// amortization claim, re-checked on every diff.
-		{name: "wal_group_commit", setup: walGroupCommitSetup},
 		// recovery: resume from an initial checkpoint plus a full WAL
 		// suffix — the replay ladder end to end.
 		{name: "recovery", setup: recoverySetup},
@@ -203,45 +188,6 @@ func summarizerSetupKind(kind synth.Kind, storm bool, nk neighbor.Kind, scaleOf 
 	}
 }
 
-// pipelinedAssignSetup is the assign workload applied through the real
-// scheduler in replay mode: batches are submitted as raw templates and
-// the applier executes them, one in flight at a time (Submit then Wait),
-// which pins the speculation-accepted path deterministically.
-func pipelinedAssignSetup(cfg Config, _ string, tracer *trace.Tracer) (func() error, int, error) {
-	sz := summarizerScale(cfg.Preset)
-	db, batches, err := workloadBatches(synth.Random, sz, cfg.Seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	opts := coreOptions(sz, cfg, tracer, neighbor.KindDense)
-	opts.Pipeline = &core.PipelineOptions{Depth: 2}
-	s, err := core.New(db, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	ops := 0
-	for _, b := range batches {
-		ops += len(b)
-	}
-	exec := func() error {
-		sched, err := pipeline.New(s, nil, pipeline.Config{Replay: true})
-		if err != nil {
-			return err
-		}
-		for _, b := range batches {
-			tk, err := sched.Submit(context.Background(), b)
-			if err != nil {
-				return err
-			}
-			if _, err := tk.Wait(context.Background()); err != nil {
-				return err
-			}
-		}
-		return sched.Close()
-	}
-	return exec, ops, nil
-}
-
 func walAppendSetup(cfg Config, scratch string, tracer *trace.Tracer) (func() error, int, error) {
 	sz := walScale(cfg.Preset)
 	db, batches, err := workloadBatches(synth.Complex, sz, cfg.Seed)
@@ -267,66 +213,6 @@ func walAppendSetup(cfg Config, scratch string, tracer *trace.Tracer) (func() er
 			}
 			if _, err := s.ApplyBatch(applied); err != nil {
 				return err
-			}
-		}
-		return l.Close()
-	}
-	return exec, len(batches), nil
-}
-
-// walGroupCommitSetup drives the group-commit protocol directly, exactly
-// as the scheduler's stages do: unsynced enqueues up to the group bound,
-// one shared fsync releasing the group's acks, then the applies (whose
-// BeforeApply consumes the acks without further I/O). Checkpoints take
-// the async path, barriered at each batch boundary so the span counts
-// stay lockstep-deterministic on any core count.
-func walGroupCommitSetup(cfg Config, scratch string, tracer *trace.Tracer) (func() error, int, error) {
-	sz := walScale(cfg.Preset)
-	db, batches, err := workloadBatches(synth.Complex, sz, cfg.Seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	dir, err := os.MkdirTemp(scratch, "wal-group-")
-	if err != nil {
-		return nil, 0, err
-	}
-	s, l, err := wal.New(db, coreOptions(sz, cfg, tracer, neighbor.KindDense),
-		wal.Options{Dir: dir, CheckpointEvery: 2, GroupCommit: 4, Tracer: tracer})
-	if err != nil {
-		return nil, 0, err
-	}
-	exec := func() error {
-		ctx := context.Background()
-		group := l.GroupCommitMax()
-		for i := 0; i < len(batches); i += group {
-			end := i + group
-			if end > len(batches) {
-				end = len(batches)
-			}
-			for j := i; j < end; j++ {
-				if err := l.Enqueue(ctx, uint64(j), batches[j]); err != nil {
-					return err
-				}
-			}
-			if err := l.Flush(ctx); err != nil {
-				return err
-			}
-			for j := i; j < end; j++ {
-				applied, err := batches[j].Replay(db)
-				if err != nil {
-					return err
-				}
-				if _, err := s.ApplyBatch(applied); err != nil {
-					return err
-				}
-				if l.CheckpointDue() {
-					if err := l.StartAsyncCheckpoint(s); err != nil {
-						return err
-					}
-					if err := l.AsyncBarrier(); err != nil {
-						return err
-					}
-				}
 			}
 		}
 		return l.Close()

@@ -57,13 +57,6 @@ type Set struct {
 	counter *vecmath.Counter
 	rng     *stats.RNG
 	scratch []int // reusable candidate buffer for closestSeed
-	// seedEpoch counts every mutation that changes what a closest-seed
-	// search can observe: the set of seeds or their positions (AddBubble,
-	// SetSeed, ResetBubble, RemoveBubble). Pure statistics updates
-	// (absorb/release/TakeMembers) do NOT advance it — searchClosest never
-	// reads bubble statistics. A speculative search performed against a
-	// SearchView cloned at epoch e is valid iff the live epoch is still e.
-	seedEpoch uint64
 	// statsOnly marks a set restored from a snapshot that carried no
 	// member IDs: bubble counts are trusted but the ownership map covers
 	// only points assigned after the restore, so it is a subset of — not
@@ -140,7 +133,6 @@ func (s *Set) AddBubble(p vecmath.Point) (int, error) {
 	if s.nidx != nil {
 		s.nidx.Add(b.seed)
 	}
-	s.seedEpoch++
 	return idx, nil
 }
 
@@ -156,7 +148,6 @@ func (s *Set) SetSeed(i int, p vecmath.Point) error {
 	}
 	s.bubbles[i].seed = p.Clone()
 	s.refreshSeedRow(i)
-	s.seedEpoch++
 	return nil
 }
 
@@ -172,7 +163,6 @@ func (s *Set) ResetBubble(i int, p vecmath.Point) error {
 	}
 	s.bubbles[i].reset(p)
 	s.refreshSeedRow(i)
-	s.seedEpoch++
 	return nil
 }
 
@@ -217,51 +207,6 @@ func (s *Set) NeighborKind() neighbor.Kind {
 // NeighborIndex exposes the underlying index (nil when pruning is
 // disabled) for tests and diagnostics. Callers must not mutate it.
 func (s *Set) NeighborIndex() neighbor.Index { return s.nidx }
-
-// SeedEpoch returns the seed-mutation epoch: it advances on every
-// AddBubble/SetSeed/ResetBubble/RemoveBubble and is unchanged by pure
-// statistics updates. Speculative searches stamp the epoch of the view
-// they ran against; the result is adoptable iff the live epoch still
-// matches (DESIGN.md §13).
-func (s *Set) SeedEpoch() uint64 { return s.seedEpoch }
-
-// SearchView clones the state a closest-seed search reads — the seed
-// positions and the seed-distance matrix — into an independent Set that
-// stays frozen while the live set keeps mutating. Finders created on the
-// view run the identical Figure 2 search the live set would have run at
-// the cloned epoch, counting into the view's own private counter so the
-// live accounting is untouched until a speculation is accepted.
-//
-// Only the dense neighbor index can be cloned: FastPair fills its cache
-// lazily during searches, and fills performed on a clone could not be
-// transferred back without breaking the exact accounting the
-// differential suite pins. Callers must treat the view as search-only —
-// mutating it is a programming error.
-func (s *Set) SearchView() (*Set, error) {
-	v := &Set{
-		dim:       s.dim,
-		opts:      s.opts,
-		bubbles:   make([]*Bubble, len(s.bubbles)),
-		owner:     make(map[dataset.PointID]int),
-		counter:   &vecmath.Counter{},
-		rng:       stats.NewRNG(1),
-		statsOnly: true,
-		seedEpoch: s.seedEpoch,
-	}
-	v.opts.Counter = v.counter
-	v.opts.TrackMembers = false
-	for i, b := range s.bubbles {
-		v.bubbles[i] = newBubble(s.dim, b.seed, false)
-	}
-	if s.nidx != nil {
-		dense, ok := s.nidx.(*neighbor.Dense)
-		if !ok {
-			return nil, fmt.Errorf("bubble: SearchView requires the dense neighbor index, set runs %s", s.nidx.Kind())
-		}
-		v.nidx = dense.Clone(v.counter)
-	}
-	return v, nil
-}
 
 // Owner returns the index of the bubble compressing point id.
 func (s *Set) Owner(id dataset.PointID) (int, bool) {
@@ -509,7 +454,6 @@ func (s *Set) RemoveBubble(i int) error {
 		// The index mirrors the same swap-remove: last takes slot i.
 		s.nidx.Remove(i)
 	}
-	s.seedEpoch++
 	return nil
 }
 

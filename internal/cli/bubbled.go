@@ -38,8 +38,8 @@ type BubbledOptions struct {
 
 // RunBubbled opens the server over opts.Root (resuming any tenants
 // already there), serves HTTP on opts.Addr until ctx is cancelled, then
-// drains gracefully: admissions stop, per-tenant pipelines flush,
-// healthy tenants write final checkpoints, and the listener shuts down.
+// drains gracefully: admissions stop, queued batches finish, healthy
+// tenants write final checkpoints, and the listener shuts down.
 // The caller owns signal handling — cmd/bubbled cancels ctx on
 // SIGTERM/SIGINT. A non-nil error means the server failed; a clean
 // ctx-driven drain returns nil even if individual tenants were degraded

@@ -203,28 +203,6 @@ func TestRunIncbenchRecovery(t *testing.T) {
 	}
 }
 
-// TestRunIncbenchRecoveryPipelined reruns the crash-recovery
-// demonstration with pipelined durable ingestion (group commit, async
-// checkpoints): both durable runs write through the scheduler, recovery
-// replays serially, and the crossover must still end bit-identical.
-func TestRunIncbenchRecoveryPipelined(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.PipelineDepth = 2
-	var out bytes.Buffer
-	opts := IncbenchOptions{
-		Experiment:      "recovery",
-		Config:          cfg,
-		WALDir:          t.TempDir(),
-		CheckpointEvery: 2,
-	}
-	if err := RunIncbench(context.Background(), opts, &out); err != nil {
-		t.Fatalf("pipelined recovery experiment: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "IDENTICAL") {
-		t.Fatalf("pipelined recovery output:\n%s", out.String())
-	}
-}
-
 // TestRunQuickclusterDurableResume runs quickcluster twice against the
 // same WAL directory: the second run must resume the persisted summary
 // (no CSV read) and produce identical cluster output.

@@ -41,15 +41,6 @@ type QuickclusterOptions struct {
 	WALDir string
 	// CheckpointEvery is the durable checkpoint cadence (≤0 = wal default).
 	CheckpointEvery int
-	// PipelineDepth ≥ 1 configures the summarizer for staged pipelined
-	// ingestion (DESIGN.md §13) and switches the WAL to group commit.
-	// Results are bit-identical at any depth; quickcluster's one-shot build
-	// applies no batches, so this matters when the WAL directory is later
-	// driven by a streaming ingester sharing the same options.
-	PipelineDepth int
-	// GroupCommitMax bounds how many WAL records share one group fsync
-	// when PipelineDepth is set (≤0 = wal default).
-	GroupCommitMax int
 	// Telemetry optionally receives build/cluster metrics (and is what a
 	// -debug-addr endpoint serves). Instrumentation never changes results.
 	Telemetry *telemetry.Sink
@@ -60,7 +51,7 @@ type QuickclusterOptions struct {
 }
 
 func (opts QuickclusterOptions) coreOptions(numBubbles int, counter *vecmath.Counter) core.Options {
-	co := core.Options{
+	return core.Options{
 		NumBubbles:            numBubbles,
 		UseTriangleInequality: true,
 		Seed:                  opts.Seed,
@@ -70,22 +61,11 @@ func (opts QuickclusterOptions) coreOptions(numBubbles int, counter *vecmath.Cou
 		Neighbor:              opts.Neighbor,
 		Config:                core.Config{Workers: opts.Workers},
 	}
-	if opts.PipelineDepth >= 1 {
-		co.Pipeline = &core.PipelineOptions{Depth: opts.PipelineDepth}
-	}
-	return co
 }
 
 func (opts QuickclusterOptions) walOptions() wal.Options {
-	wo := wal.Options{Dir: opts.WALDir, CheckpointEvery: opts.CheckpointEvery,
+	return wal.Options{Dir: opts.WALDir, CheckpointEvery: opts.CheckpointEvery,
 		Telemetry: opts.Telemetry, Tracer: opts.Tracer}
-	if opts.PipelineDepth >= 1 {
-		wo.GroupCommit = opts.GroupCommitMax
-		if wo.GroupCommit <= 0 {
-			wo.GroupCommit = 4 // same default as experiments.Config
-		}
-	}
-	return wo
 }
 
 // RunQuickcluster reads a CSV database from in, summarizes and clusters

@@ -215,7 +215,6 @@ type Summarizer struct {
 	// bit-for-bit. Without a layer the RNG free-runs exactly as before.
 	seedBase   int64
 	durability Durability
-	pipeline   *PipelineOptions
 	fail       *failpoint.Registry // nil-safe; disarmed in production
 
 	// Observability. sink may be nil (telemetry disabled); the resolved
@@ -321,16 +320,6 @@ type Options struct {
 	// Telemetry, the tracer is an observer only and never perturbs
 	// seeds, probe orders, or distance accounting.
 	Tracer *trace.Tracer
-	// Pipeline, when non-nil, enables the pipelined ingestion path
-	// (DESIGN.md §13): ApplyBatchPipelined accepts speculative phase-1
-	// search results computed against a snapshot-isolated SearchView, and
-	// every batch reseeds the RNG from SubSeed(Seed, ordinal) — the same
-	// replay-deterministic discipline Durability enforces — so a
-	// speculation for batch N+1 can derive N+1's probe streams before
-	// batch N has finished. Depth > 0 additionally requires the dense
-	// neighbor index (FastPair's lazily filled cache cannot be cloned
-	// into a view without breaking the exact distance accounting).
-	Pipeline *PipelineOptions
 }
 
 // New builds the initial data bubbles over db from scratch and returns a
@@ -421,14 +410,6 @@ func resolveOptions(opts Options) (Config, int64, error) {
 			return cfg, 0, errors.New("core: initial bubble count outside [MinBubbles, MaxBubbles]")
 		}
 	}
-	if opts.Pipeline != nil {
-		if opts.Pipeline.Depth < 0 {
-			return cfg, 0, errors.New("core: Pipeline.Depth must be non-negative")
-		}
-		if opts.Pipeline.Depth > 0 && opts.Neighbor == neighbor.KindFastPair {
-			return cfg, 0, errors.New("core: Pipeline with Depth > 0 requires the dense neighbor index (FastPair's lazy cache cannot back a snapshot-isolated search view)")
-		}
-	}
 	return cfg, seed, nil
 }
 
@@ -437,7 +418,6 @@ func finishConstruct(db *dataset.DB, set *bubble.Set, cfg Config, seed int64, rn
 		db: db, set: set, cfg: cfg, rng: rng,
 		seedBase:   seed,
 		durability: opts.Durability,
-		pipeline:   opts.Pipeline,
 		fail:       opts.Failpoints,
 		sink:       opts.Telemetry,
 		metrics:    newCoreMetrics(opts.Telemetry),
@@ -556,24 +536,15 @@ func (s *Summarizer) ApplyBatch(batch dataset.Batch) (BatchStats, error) {
 // returns with the summary (and any write-ahead log) exactly as it was.
 // Once mutation starts the batch runs to completion regardless of ctx.
 func (s *Summarizer) ApplyBatchContext(ctx context.Context, batch dataset.Batch) (BatchStats, error) {
-	return s.applyBatchInternal(ctx, batch, nil)
-}
-
-// applyBatchInternal is the shared body of ApplyBatchContext and
-// ApplyBatchPipelined. A non-nil spec is a speculative phase-1 result to
-// revalidate (see resolveSearch); nil runs the live search.
-func (s *Summarizer) applyBatchInternal(ctx context.Context, batch dataset.Batch, spec *Speculation) (BatchStats, error) {
 	var bs BatchStats
 	if err := ctx.Err(); err != nil {
 		return bs, err
 	}
 	ordinal := s.batches
-	if s.durability != nil || s.pipeline != nil {
+	if s.durability != nil {
 		// Replay determinism: derive this batch's whole RNG stream from
 		// (seed, ordinal) alone, so checkpoint + replay of the log suffix
-		// reproduces the uninterrupted run bit-for-bit. The pipeline needs
-		// the same discipline so a speculation can derive batch N+1's
-		// probe streams before batch N has completed.
+		// reproduces the uninterrupted run bit-for-bit.
 		s.rng.Reseed(stats.SubSeed(s.seedBase, ordinal))
 	}
 	s.curBatch = ordinal
@@ -587,7 +558,7 @@ func (s *Summarizer) applyBatchInternal(ctx context.Context, batch dataset.Batch
 	ctx = trace.ContextWith(ctx, bsp)
 	// Figure 3 step 1, phase 1: closest-bubble searches, read-only and
 	// therefore cancellable.
-	targets, err := s.resolveSearch(ctx, batch, ordinal, spec, bsp)
+	targets, err := s.searchInserts(ctx, batch, bsp)
 	if err != nil {
 		return bs, err
 	}
@@ -710,17 +681,10 @@ const minParallelItems = 128
 // assignWorkers resolves the configured worker count for an n-item phase-1
 // fan-out.
 func (s *Summarizer) assignWorkers(n int) int {
-	return resolveWorkers(s.cfg.Workers, n)
-}
-
-// resolveWorkers is the shared worker resolution of the live search and
-// the speculative SearchView search — both must fan out identically so
-// the per-worker tallies (and the workerComputed histogram) agree.
-func resolveWorkers(cfgWorkers, n int) int {
-	if cfgWorkers <= 0 && n < minParallelItems {
+	if s.cfg.Workers <= 0 && n < minParallelItems {
 		return 1
 	}
-	return parallel.Workers(cfgWorkers, n)
+	return parallel.Workers(s.cfg.Workers, n)
 }
 
 // insertIndices returns the batch positions of the insert operations, in
@@ -754,16 +718,8 @@ func (s *Summarizer) searchInserts(ctx context.Context, batch dataset.Batch, bsp
 		return targets, nil
 	}
 	// The probe-stream base is the batch's only direct RNG draw in phase 1
-	// — drawn here, after the zero-insert early return, exactly as the
-	// speculative twin (SearchView.Speculate) derives it.
+	// — drawn here, after the zero-insert early return.
 	base := s.rng.Int63()
-	return s.searchInsertsBase(ctx, batch, inserts, targets, base, bsp)
-}
-
-// searchInsertsBase is the live phase-1 fan-out with the probe-stream
-// base supplied by the caller (searchInserts, or resolveSearch when a
-// speculation was rejected and the search reruns against live state).
-func (s *Summarizer) searchInsertsBase(ctx context.Context, batch dataset.Batch, inserts, targets []int, base int64, bsp *trace.Span) (_ []int, err error) {
 	// Leaf span bound to the shared counter: the per-worker tallies merge
 	// before ForEachWorker returns, so End sees the full search delta.
 	ssp := bsp.Start("core.search").Bind(s.set.Counter())

@@ -64,15 +64,6 @@ type Config struct {
 	// the experiments construct. Spans from concurrent repetitions
 	// interleave in the ring but each batch's tree stays intact.
 	Tracer *trace.Tracer
-	// PipelineDepth ≥ 1 runs the recovery experiment's durable ingestion
-	// through the staged pipeline scheduler (DESIGN.md §13): speculative
-	// search, WAL group commit, async checkpoints. Recovery itself always
-	// replays serially — that crossover is the point of the experiment.
-	// Zero keeps the serial durable path.
-	PipelineDepth int
-	// GroupCommitMax bounds how many enqueued records share one group
-	// fsync when PipelineDepth is set (default 4).
-	GroupCommitMax int
 }
 
 // WithDefaults fills zero fields with the documented defaults.
@@ -100,9 +91,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.PipelineDepth > 0 && c.GroupCommitMax == 0 {
-		c.GroupCommitMax = 4
 	}
 	return c
 }

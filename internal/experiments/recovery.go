@@ -9,7 +9,6 @@ import (
 
 	"incbubbles/internal/core"
 	"incbubbles/internal/dataset"
-	"incbubbles/internal/pipeline"
 	"incbubbles/internal/synth"
 	"incbubbles/internal/telemetry"
 	"incbubbles/internal/wal"
@@ -53,14 +52,6 @@ func Recovery(ctx context.Context, cfg Config, walDir string, checkpointEvery in
 		Seed:                  cfg.Seed + 1,
 		Config:                core.Config{Workers: cfg.Workers},
 	})
-	if cfg.PipelineDepth > 0 {
-		// Pipelined writer, serial reader: both durable runs ingest through
-		// the scheduler (group commit, async checkpoints), and recovery
-		// still replays through the plain serial path below — the
-		// crash-crossover the pipelined matrix tests, demonstrated here.
-		coreOpts.Pipeline = &core.PipelineOptions{Depth: cfg.PipelineDepth}
-		walOpts.GroupCommit = cfg.GroupCommitMax
-	}
 
 	initial, batches, err := recoveryWorkload(cfg)
 	if err != nil {
@@ -104,9 +95,8 @@ func Recovery(ctx context.Context, cfg Config, walDir string, checkpointEvery in
 	if err != nil {
 		return nil, err
 	}
-	// The checkpoint barrier drains pending async appends and is bounded
-	// by the WAL flush; a checkpoint must not be abandoned halfway or the
-	// experiment's recovered state would not match the fingerprint.
+	// A checkpoint must not be abandoned halfway or the experiment's
+	// recovered state would not match the fingerprint.
 	//lint:allow ctxflow checkpoint durability barrier is deliberately not cancellable mid-write
 	if err := st.Log.Checkpoint(st.Summarizer); err != nil {
 		return nil, err
@@ -149,53 +139,31 @@ func recoveryWorkload(cfg Config) (*dataset.DB, []dataset.Batch, error) {
 }
 
 // durableRun builds a durable summarizer over db and applies the first
-// upto batches — serially, or through the pipeline scheduler when the
-// core options carry a pipeline depth. When upto covers the whole
-// workload the log is closed cleanly and the final fingerprint returned;
-// otherwise the log is abandoned open — the crash simulation (the
-// scheduler, if any, is drained first so no goroutine outlives the run).
+// upto batches. When upto covers the whole workload the log is closed
+// cleanly and the final fingerprint returned; otherwise the log is
+// abandoned open — the crash simulation — once any write-behind
+// checkpoint has finished, so no background write races the resume.
 func durableRun(ctx context.Context, db *dataset.DB, batches []dataset.Batch, coreOpts core.Options, walOpts wal.Options, upto int) ([]byte, error) {
 	s, l, err := wal.New(db, coreOpts, walOpts)
 	if err != nil {
 		return nil, err
 	}
-	if coreOpts.Pipeline != nil && coreOpts.Pipeline.Depth >= 1 {
-		sched, err := pipeline.New(s, l, pipeline.Config{Replay: true})
+	for i := 0; i < upto; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		applied, err := Reapply(db, batches[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("batch %d: %w", i, err)
 		}
-		for i := 0; i < upto; i++ {
-			tk, err := sched.Submit(ctx, batches[i])
-			if err != nil {
-				return nil, fmt.Errorf("batch %d: %w", i, err)
-			}
-			if _, err := tk.Wait(ctx); err != nil {
-				return nil, fmt.Errorf("batch %d: %w", i, err)
-			}
+		if _, err := s.ApplyBatchContext(ctx, applied); err != nil {
+			return nil, fmt.Errorf("batch %d: %w", i, err)
 		}
-		if upto < len(batches) {
-			_ = sched.Close() // drain only; the open log IS the crash state
-			return nil, nil
-		}
-		if err := sched.Close(); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < upto; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			applied, err := Reapply(db, batches[i])
-			if err != nil {
-				return nil, fmt.Errorf("batch %d: %w", i, err)
-			}
-			if _, err := s.ApplyBatchContext(ctx, applied); err != nil {
-				return nil, fmt.Errorf("batch %d: %w", i, err)
-			}
-		}
-		if upto < len(batches) {
-			return nil, nil // crash: leave the log open and un-checkpointed
-		}
+	}
+	if upto < len(batches) {
+		// Crash: leave the log open, its write-behind checkpoint settled.
+		//lint:allow ctxflow the crash simulation must not race a checkpoint still being written
+		return nil, l.WaitCheckpoint()
 	}
 	fp, err := wal.Fingerprint(s)
 	if err != nil {

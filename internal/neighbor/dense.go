@@ -24,24 +24,6 @@ func NewDense(counter *vecmath.Counter) *Dense {
 // Kind identifies the implementation.
 func (d *Dense) Kind() Kind { return KindDense }
 
-// Clone returns a deep copy of the index whose future computations count
-// through counter. Points are shared (they are immutable — every mutation
-// replaces the slice entry rather than writing through it), the distance
-// matrix is copied row by row. The clone is the snapshot-isolated view
-// behind speculative pipelined searches (DESIGN.md §13): it stays frozen
-// at the cloned state while the live index keeps mutating.
-func (d *Dense) Clone(counter *vecmath.Counter) *Dense {
-	c := &Dense{
-		counter: counter,
-		pts:     append([]vecmath.Point(nil), d.pts...),
-		dist:    make([][]float64, len(d.dist)),
-	}
-	for i, row := range d.dist {
-		c.dist[i] = append([]float64(nil), row...)
-	}
-	return c
-}
-
 // Len returns the number of indexed points.
 func (d *Dense) Len() int { return len(d.pts) }
 

@@ -12,7 +12,8 @@
 // wal.ErrPoisoned means the process (or log) is dead and must never be
 // retried in place — so classifiers must default to NOT retrying
 // unknown fatal faults and opt specific documented-retryable errors in
-// (wal.ErrCheckpointRetryable, clean group-commit failures).
+// (the WAL retries every checkpoint write failure but a simulated
+// crash).
 package retry
 
 import (

@@ -2,15 +2,14 @@ package server
 
 // Service-level chaos harness (DESIGN.md §15): the acceptance proof that
 // bubbled is fault-tolerant end to end. Each cell runs the same
-// three-tenant workload (two serial tenants, one pipelined) against a
-// fresh server with one WAL/group/checkpoint failpoint armed, lets the
-// fault land mid-ingest, kills the server exactly as a crash would
-// (no drain, no close), restarts over the same root, re-drives each
-// tenant's unacked suffix from its reported applied count, drains, and
-// finally proves every tenant's recovered state bit-identical to an
-// unkilled serial oracle via wal.Fingerprint. Absorbed cells (retryable
-// checkpoint faults, clean group-commit failures) must instead complete
-// with no degradation at all.
+// three-tenant workload against a fresh server with one WAL/checkpoint
+// failpoint armed, lets the fault land mid-ingest, kills the server
+// exactly as a crash would (no drain, no close — only its write-behind
+// checkpoints are waited out), restarts over the same root, re-drives
+// each tenant's unacked suffix from its reported applied count, drains,
+// and finally proves every tenant's recovered state bit-identical to an
+// unkilled oracle via wal.Fingerprint. Absorbed cells (retryable
+// checkpoint faults) must instead complete with no degradation at all.
 //
 // A smoke subset runs by default; the full matrix over every failpoint
 // runs with INCBUBBLES_CRASH=1.
@@ -41,20 +40,22 @@ const (
 )
 
 type chaosTenant struct {
-	name  string
-	seed  int64 // summarizer seed
-	depth int   // pipeline depth (0 = serial)
-	bseed int64 // bootstrap generator seed
-	wseed int64 // workload generator seed
+	name      string
+	seed      int64 // summarizer seed
+	ckptEvery int   // checkpoint cadence in batches
+	bseed     int64 // bootstrap generator seed
+	wseed     int64 // workload generator seed
 }
 
-// Two serial tenants and one pipelined tenant: serial failpoints land on
-// t0/t1, group and async-checkpoint failpoints on t2, and the shared
-// ENOSPC append point on whichever path evaluates it at the armed hit.
+// Append failpoints land on whichever tenant reaches the armed hit,
+// t0 first. The third tenant checkpoints after every batch, so its first
+// write-behind checkpoint comes due a batch before anyone else's — the
+// checkpoint failpoints armed at hit 1 land on it — and each of its
+// checkpoints comes due while the previous one may still be written.
 var chaosTenants = []chaosTenant{
-	{name: "t0", seed: 101, depth: 0, bseed: 31, wseed: 51},
-	{name: "t1", seed: 102, depth: 0, bseed: 33, wseed: 53},
-	{name: "t2", seed: 103, depth: 2, bseed: 37, wseed: 57},
+	{name: "t0", seed: 101, ckptEvery: 2, bseed: 31, wseed: 51},
+	{name: "t1", seed: 102, ckptEvery: 2, bseed: 33, wseed: 53},
+	{name: "t2", seed: 103, ckptEvery: 1, bseed: 37, wseed: 57},
 }
 
 func chaosWorkload(tn chaosTenant) []dataset.Batch {
@@ -67,10 +68,8 @@ func chaosConfig(tn chaosTenant) TenantConfig {
 		Bubbles:         chaosBubbles,
 		Seed:            tn.seed,
 		QueueDepth:      8,
-		PipelineDepth:   tn.depth,
-		CheckpointEvery: 2,
+		CheckpointEvery: tn.ckptEvery,
 		KeepCheckpoints: 2,
-		GroupCommit:     4,
 		RetryAttempts:   3,
 		Bootstrap:       mkBootstrap(chaosDim, chaosBootN, tn.bseed),
 	}
@@ -111,8 +110,8 @@ func chaosOracle(t *testing.T) map[string][]byte {
 	return chaosOracleFPs
 }
 
-// oracleFingerprint runs one tenant's whole workload through the serial
-// durable path, uninterrupted — the target every chaos cell must
+// oracleFingerprint runs one tenant's whole workload through the durable
+// library path, uninterrupted — the target every chaos cell must
 // converge back to.
 func oracleFingerprint(tn chaosTenant, dir string) ([]byte, error) {
 	db := dataset.MustNew(chaosDim)
@@ -180,27 +179,22 @@ func chaosCells() []chaosCell {
 		{name: "append-enospc", point: wal.FailAppendNoSpace, mode: "nospace", hit: 4, smoke: true},
 		{name: "append-enospc-torn", point: wal.FailAppendNoSpace, mode: "tornerror", hit: 2},
 
-		// Checkpoint faults: absorbed in place by the WAL's bounded
-		// seeded-backoff retry — no tenant ever degrades.
+		// Write-behind checkpoint faults, on the third tenant at hit 1
+		// and on t0 at hit 2. Retryable errors are absorbed in place by
+		// the WAL's bounded seeded-backoff retry on the writer goroutine —
+		// no tenant ever degrades. A crash in the background write, or in
+		// the rotation and GC that follow the install, surfaces at the
+		// tenant's next batch and degrades it.
 		{name: "ckpt-rename-absorbed", point: wal.FailCkptRename, mode: "error", hit: 1, absorb: true,
 			wantMetric: telemetry.MetricWALCheckpointRetries, smoke: true},
 		{name: "ckpt-enospc-absorbed", point: wal.FailCheckpointNoSpace, mode: "tornerror", hit: 1, absorb: true,
 			wantMetric: telemetry.MetricWALCheckpointRetries},
 		{name: "ckpt-write-crash", point: wal.FailCkptWrite, mode: "crash", hit: 1},
-
-		// Group-commit faults on the pipelined tenant: torn frames
-		// poison, crashes degrade, and a clean error is re-driven by the
-		// server's own backoff with no client-visible failure.
-		{name: "group-append-torn", point: wal.FailGroupAppend, mode: "torn", hit: 2, smoke: true},
-		{name: "group-append-clean-absorbed", point: wal.FailGroupAppend, mode: "error", hit: 2, absorb: true},
-		{name: "group-sync-crash", point: wal.FailGroupSync, mode: "crash", hit: 2, smoke: true},
-		{name: "group-ack-crash", point: wal.FailGroupAck, mode: "crash", hit: 2},
-
-		// Async checkpoint faults: the retryable error is absorbed by the
-		// in-place checkpoint retry; the crash degrades and recovers.
-		{name: "async-ckpt-rename-absorbed", point: wal.FailAsyncCkptRename, mode: "error", hit: 1, absorb: true,
-			wantMetric: telemetry.MetricWALCheckpointRetries},
-		{name: "async-ckpt-rename-crash", point: wal.FailAsyncCkptRename, mode: "crash", hit: 1, smoke: true},
+		{name: "writebehind-write-torn", point: wal.FailCkptWrite, mode: "torn", hit: 2, smoke: true},
+		{name: "writebehind-sync-crash", point: wal.FailCkptSync, mode: "crash", hit: 2, smoke: true},
+		{name: "writebehind-gc-crash", point: wal.FailCkptGC, mode: "crash", hit: 1},
+		{name: "writebehind-rotate-crash", point: wal.FailCkptRotate, mode: "crash", hit: 1},
+		{name: "async-ckpt-rename-crash", point: wal.FailCkptRename, mode: "crash", hit: 1, smoke: true},
 	}
 }
 
@@ -304,8 +298,9 @@ func runChaosCell(t *testing.T, cell chaosCell) {
 	}
 
 	// Kill: abandon the server exactly as a crash would — no drain, no
-	// final checkpoints, no closes. Only the HTTP listener goes away.
-	e.ts.Close()
+	// final checkpoints, no closes. The HTTP listener goes away once the
+	// write-behind checkpoints have settled.
+	e.kill()
 
 	// Restart over the same root: every tenant resumes from its durable
 	// prefix. Re-drive each tenant's unacked suffix from the applied

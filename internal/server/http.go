@@ -302,8 +302,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, t *tenant)
 // handleIngest admits one batch and waits for its durability ack. The
 // admission path never blocks: a full queue is 429 + Retry-After, a
 // degraded tenant or a draining server is 503 with the machine-readable
-// reason. The request deadline rides the context into the worker (and,
-// for serial tenants, through ApplyBatchContext). The same context
+// reason. The request deadline rides the context into the worker and
+// through ApplyBatchContext. The same context
 // carries the request's server.ingest root span, so the core and WAL
 // spans of the batch parent under it — one trace tree per request.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant) {
@@ -408,6 +408,9 @@ func decodeBatch(ups []updateJSON, dim int) (dataset.Batch, error) {
 		case "insert":
 			if len(u.P) != dim {
 				return nil, fmt.Errorf("server: update %d: point has %d dims, tenant has %d", i, len(u.P), dim)
+			}
+			if u.Label < dataset.Noise {
+				return nil, fmt.Errorf("server: update %d: label %d is reserved (labels start at %d)", i, u.Label, dataset.Noise)
 			}
 			batch = append(batch, dataset.Update{Op: dataset.OpInsert, P: vecmath.Point(u.P), Label: u.Label})
 		case "delete":

@@ -1,11 +1,11 @@
 // Package server implements bubbled, the long-running multi-tenant
 // summarization service (DESIGN.md §15). Each tenant is a fully
 // independent fault domain: its own core.Summarizer, WAL directory,
-// seed, pipeline scheduler, and telemetry/trace namespace, fed through
-// a bounded ingest queue by a single worker goroutine. Admission
-// control (429 on overflow), a per-tenant degradation ladder (a
-// poisoned WAL flips that tenant alone into read-only mode), and
-// graceful drain (stop admissions, flush pipelines, final checkpoints)
+// seed, and telemetry/trace namespace, fed through a bounded ingest
+// queue by a single worker goroutine. Admission control (429 on
+// overflow), a per-tenant degradation ladder (a poisoned WAL flips that
+// tenant alone into read-only mode), and graceful drain (stop
+// admissions, finish queued batches, final checkpoints)
 // keep one tenant's faults from ever touching another's determinism
 // guarantees.
 package server
@@ -97,18 +97,23 @@ type TenantConfig struct {
 	// QueueDepth bounds the ingest queue; admission returns 429 beyond
 	// it (≤0 selects 16).
 	QueueDepth int `json:"queue_depth,omitempty"`
-	// PipelineDepth ≥ 1 runs ingestion through the staged pipeline with
-	// WAL group commit (DESIGN.md §13); 0 is the serial path, which
-	// propagates each request's deadline through ApplyBatchContext.
+	// PipelineDepth is decoded and ignored.
+	//
+	// Deprecated: every tenant ingests through one serial worker with
+	// write-behind checkpoints (DESIGN.md §10); the field stays so
+	// configs and tenant.json files that set it still decode.
 	PipelineDepth int `json:"pipeline_depth,omitempty"`
-	// CheckpointEvery / KeepCheckpoints / GroupCommit tune the WAL
-	// (wal.Options; ≤0 selects that layer's defaults).
+	// CheckpointEvery / KeepCheckpoints tune the WAL (wal.Options; ≤0
+	// selects that layer's defaults).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	KeepCheckpoints int `json:"keep_checkpoints,omitempty"`
-	GroupCommit     int `json:"group_commit,omitempty"`
-	// RetryAttempts bounds the seeded-backoff redrive of group-commit
-	// clean failures and the WAL's in-place checkpoint retries
-	// (internal/retry; ≤0 selects 3, 1 disables).
+	// GroupCommit is decoded and ignored.
+	//
+	// Deprecated: the WAL fsyncs every batch record on its own; the field
+	// stays so configs and tenant.json files that set it still decode.
+	GroupCommit int `json:"group_commit,omitempty"`
+	// RetryAttempts bounds the WAL's in-place checkpoint retries
+	// (internal/retry seeded-jitter backoff; ≤0 selects 3, 1 disables).
 	RetryAttempts int `json:"retry_attempts,omitempty"`
 	// Bootstrap is the initial point set the first bubble build runs
 	// over. Creating a fresh tenant requires at least Bubbles points (the
@@ -125,8 +130,11 @@ type TenantConfig struct {
 	testGate chan struct{}
 }
 
-// withDefaults overlays c on d and fills built-ins.
+// withDefaults overlays c on d and fills built-ins. The deprecated
+// fields are cleared rather than overlaid, so they never reach a
+// tenant's config file.
 func (c TenantConfig) withDefaults(d TenantConfig) TenantConfig {
+	c.PipelineDepth, c.GroupCommit = 0, 0
 	if c.Dim <= 0 {
 		c.Dim = d.Dim
 	}
@@ -142,17 +150,11 @@ func (c TenantConfig) withDefaults(d TenantConfig) TenantConfig {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
 	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = d.PipelineDepth
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = d.CheckpointEvery
 	}
 	if c.KeepCheckpoints <= 0 {
 		c.KeepCheckpoints = d.KeepCheckpoints
-	}
-	if c.GroupCommit <= 0 {
-		c.GroupCommit = d.GroupCommit
 	}
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = d.RetryAttempts
@@ -163,9 +165,8 @@ func (c TenantConfig) withDefaults(d TenantConfig) TenantConfig {
 	return c
 }
 
-// retryPolicy is the tenant's backoff policy for retryable ingest
-// faults. The classifier is supplied at the call site (tenant.go): only
-// group-commit clean failures — provably nothing consumed — retry.
+// retryPolicy is the tenant's backoff policy for checkpoint writes; the
+// WAL supplies the classifier (a simulated crash is never retried).
 func (c TenantConfig) retryPolicy(seed int64) retry.Policy {
 	return retry.Policy{MaxAttempts: c.RetryAttempts, Seed: seed}
 }
@@ -296,8 +297,7 @@ func (s *Server) openTenant(name string, cfg TenantConfig) (*TenantStatus, error
 	st := t.status()
 	s.logger.Info("tenant open",
 		"tenant", name, "resumed", st.Resumed,
-		"applied", st.Applied, "points", st.Points,
-		"pipeline_depth", st.Pipeline)
+		"applied", st.Applied, "points", st.Points)
 	return &st, nil
 }
 
@@ -329,8 +329,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain gracefully stops the server: admissions stop (new ingests and
 // tenant creations are refused), every tenant's queue is closed and its
-// worker drains the in-flight batches, pipelines flush, each healthy
-// tenant writes a final checkpoint, and logs close. Read endpoints keep
+// worker finishes the queued batches, each healthy tenant writes a final
+// checkpoint, and logs close. Read endpoints keep
 // serving from the last published snapshots throughout and after. Drain
 // is idempotent; it returns the first per-tenant finalization error.
 func (s *Server) Drain(ctx context.Context) error {

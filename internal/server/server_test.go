@@ -153,8 +153,22 @@ func newTestEnv(t *testing.T, opts Options) *testEnv {
 		t.Fatalf("server.New: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return &testEnv{srv: srv, ts: ts}
+	e := &testEnv{srv: srv, ts: ts}
+	t.Cleanup(e.kill)
+	return e
+}
+
+// kill stops serving the way a crash would — no drain, no final
+// checkpoints, no closes — after waiting out every tenant's write-behind
+// checkpoint, so no background write races a restart over the same root
+// or the removal of the test's directories.
+func (e *testEnv) kill() {
+	e.ts.Close()
+	e.srv.mu.RLock()
+	defer e.srv.mu.RUnlock()
+	for _, tn := range e.srv.tenants {
+		_ = tn.log.WaitCheckpoint()
+	}
 }
 
 func (e *testEnv) do(t *testing.T, method, path string, body *bytes.Reader) (*http.Response, map[string]any) {
@@ -199,10 +213,11 @@ func walDirOf(root, tenant string) string {
 	return fmt.Sprintf("%s/%s/%s", root, tenant, walSubdir)
 }
 
-// TestTenantLifecycleAndReads walks every endpoint on a healthy serial
-// and pipelined tenant: create (with bootstrap), ingest, status, the
-// approx family, the reachability plot, idempotent re-create, config
-// mismatch, and bootstrap validation.
+// TestTenantLifecycleAndReads walks every endpoint on a healthy tenant,
+// once plain and once created with the deprecated pipeline_depth (which
+// must change nothing): create (with bootstrap), ingest, status, the
+// approx family, the reachability plot, rejected batches, idempotent
+// re-create, config mismatch, and bootstrap validation.
 func TestTenantLifecycleAndReads(t *testing.T) {
 	e := newTestEnv(t, Options{})
 	const bootN = 12
@@ -277,17 +292,24 @@ func TestTenantLifecycleAndReads(t *testing.T) {
 				t.Fatalf("plot total weight = %d, want %d", got, points)
 			}
 
-			// A dangling delete is a rejected request, not a fault: 400,
-			// and the tenant keeps working.
-			bogus := uint64(1 << 40)
-			bad, _ := json.Marshal(ingestBody{Updates: []updateJSON{{Op: "delete", ID: &bogus}}})
-			resp, body := e.do(t, http.MethodPost, "/tenants/"+name+"/batches", bytes.NewReader(bad))
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("dangling delete: %d %v", resp.StatusCode, body)
+			// A dangling delete or a reserved label is a rejected
+			// request, not a fault: 400, nothing applied, and the tenant
+			// keeps working.
+			for _, bad := range []string{
+				`{"updates":[{"op":"delete","id":1099511627776}]}`,
+				`{"updates":[{"op":"insert","p":[1,2],"label":-7}]}`,
+			} {
+				resp, body := e.do(t, http.MethodPost, "/tenants/"+name+"/batches", bytes.NewReader([]byte(bad)))
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("%s: %d %v", bad, resp.StatusCode, body)
+				}
+				resp, st = e.do(t, http.MethodGet, "/tenants/"+name+"/status", nil)
+				if resp.StatusCode != http.StatusOK || st["read_only"] == true || int(st["applied"].(float64)) != len(batches) {
+					t.Fatalf("status after %s: %d %v", bad, resp.StatusCode, st)
+				}
 			}
-			resp, st = e.do(t, http.MethodGet, "/tenants/"+name+"/status", nil)
-			if resp.StatusCode != http.StatusOK || st["read_only"] == true {
-				t.Fatalf("status after bad batch: %d %v", resp.StatusCode, st)
+			if resp, body := e.ingest(t, name, mkInsertBatches(2, 1, 5, 13)[0]); resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest after rejected batches: %d %v", resp.StatusCode, body)
 			}
 
 			// Idempotent re-create; mismatched dim refused.
@@ -447,7 +469,7 @@ func TestDeadlineCancellation(t *testing.T) {
 
 // TestUndoBatchRestoresDatabase pins the service-level undo that backs
 // all-or-nothing when ApplyBatchContext consumed nothing: replay then
-// undo is the identity on the database.
+// undo is the identity on the database, its ID allocator included.
 func TestUndoBatchRestoresDatabase(t *testing.T) {
 	db := dataset.MustNew(2)
 	seedBatches := mkBatches(2, 2, 20, 5, 0)
@@ -460,7 +482,7 @@ func TestUndoBatchRestoresDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	undoBatch(db, applied)
+	undoBatch(db, applied, beforeNext)
 	after := db.Snapshot()
 	if len(after) != len(before) {
 		t.Fatalf("undo left %d records, want %d", len(after), len(before))
@@ -478,9 +500,10 @@ func TestUndoBatchRestoresDatabase(t *testing.T) {
 			t.Fatalf("id %d label %d, want %d", r.ID, r.Label, want.Label)
 		}
 	}
-	// NextID never rewinds below where it stood (IDs are not reused).
-	if db.NextID() < beforeNext {
-		t.Fatalf("undo rewound NextID to %d", db.NextID())
+	// The allocator rewinds exactly, so a retried batch is assigned the
+	// IDs it was first given.
+	if db.NextID() != beforeNext {
+		t.Fatalf("undo left NextID at %d, want %d", db.NextID(), beforeNext)
 	}
 }
 
@@ -498,7 +521,7 @@ func TestReadOnlyAfterPoisoningIsolation(t *testing.T) {
 		Dim: 2, Bubbles: 6, Seed: 3, CheckpointEvery: 2, Bootstrap: mkBootstrap(2, bootN, 31),
 	})
 	e.createTenant(t, "healthy", TenantConfig{
-		Dim: 2, Bubbles: 6, Seed: 4, PipelineDepth: 2, CheckpointEvery: 2, Bootstrap: mkBootstrap(2, bootN, 37),
+		Dim: 2, Bubbles: 6, Seed: 4, CheckpointEvery: 2, Bootstrap: mkBootstrap(2, bootN, 37),
 	})
 	vb := mkBatches(2, 4, 20, 17, bootN)
 	hb := mkBatches(2, 6, 20, 19, bootN)
@@ -589,7 +612,7 @@ func TestDrainFinalCheckpointAndRestart(t *testing.T) {
 		Dim: 2, Bubbles: 6, Seed: 3, CheckpointEvery: 3, Bootstrap: mkBootstrap(2, bootN, 31),
 	})
 	e.createTenant(t, "b", TenantConfig{
-		Dim: 2, Bubbles: 6, Seed: 4, PipelineDepth: 2, CheckpointEvery: 3, Bootstrap: mkBootstrap(2, bootN, 37),
+		Dim: 2, Bubbles: 6, Seed: 4, CheckpointEvery: 3, Bootstrap: mkBootstrap(2, bootN, 37),
 	})
 	ab := mkBatches(2, 5, 20, 23, bootN)
 	bb := mkBatches(2, 5, 20, 29, bootN)

@@ -17,8 +17,6 @@ import (
 	"incbubbles/internal/core"
 	"incbubbles/internal/dataset"
 	"incbubbles/internal/failpoint"
-	"incbubbles/internal/pipeline"
-	"incbubbles/internal/retry"
 	"incbubbles/internal/telemetry"
 	"incbubbles/internal/trace"
 	"incbubbles/internal/wal"
@@ -50,7 +48,7 @@ type ingestResult struct {
 	ordinal   int
 	stats     core.BatchStats
 	firstID   *uint64 // first server-assigned insert ID, nil if no inserts
-	warning   string  // non-fatal trailing error (retryable checkpoint)
+	warning   string  // non-fatal trailing error (failed checkpoint)
 	err       error
 	queueWait time.Duration
 }
@@ -94,7 +92,6 @@ type TenantStatus struct {
 	Cause    string `json:"cause,omitempty"`
 	QueueLen int    `json:"queue_len"`
 	QueueCap int    `json:"queue_cap"`
-	Pipeline int    `json:"pipeline_depth"`
 	// LastCheckpointAgeSeconds is the age of the tenant's newest durable
 	// checkpoint, -1 before the first one completes in this process.
 	LastCheckpointAgeSeconds float64 `json:"last_checkpoint_age_seconds"`
@@ -140,20 +137,9 @@ type tenant struct {
 
 	// Worker-owned (only the worker goroutine touches these after
 	// start(); readers go through read).
-	db    *dataset.DB
-	sum   *core.Summarizer
-	log   *wal.Log
-	sched *pipeline.Scheduler // nil in serial mode
-
-	// nextID and live shadow the database's ID allocator and live-record
-	// set on the worker side. The worker stamps server-assigned insert
-	// IDs and validates deletes against them before a batch ever reaches
-	// Replay — in pipelined mode the scheduler replays batches itself
-	// while the worker is already preparing the next one, so a malformed
-	// batch caught at replay time would be a fatal pipeline fault; caught
-	// here it is just a rejected request.
-	nextID dataset.PointID
-	live   map[dataset.PointID]struct{}
+	db  *dataset.DB
+	sum *core.Summarizer
+	log *wal.Log
 
 	// admitMu guards the check-then-send on queue against closeQueue:
 	// a send may otherwise race the close and panic.
@@ -247,9 +233,6 @@ func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*t
 		Tracer:                t.tracer,
 		Failpoints:            fp,
 	}
-	if cfg.PipelineDepth >= 1 {
-		coreOpts.Pipeline = &core.PipelineOptions{Depth: cfg.PipelineDepth}
-	}
 	walOpts := wal.Options{
 		Dir:             filepath.Join(dir, walSubdir),
 		CheckpointEvery: cfg.CheckpointEvery,
@@ -260,12 +243,6 @@ func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*t
 	}
 	if cfg.RetryAttempts > 1 {
 		walOpts.CheckpointRetry = cfg.retryPolicy(seed)
-	}
-	if cfg.PipelineDepth >= 1 {
-		walOpts.GroupCommit = cfg.GroupCommit
-		if walOpts.GroupCommit <= 0 {
-			walOpts.GroupCommit = 4
-		}
 	}
 
 	if wal.HasState(walOpts.Dir) {
@@ -289,19 +266,6 @@ func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*t
 			return nil, err
 		}
 		t.sum, t.log = s, l
-	}
-	t.nextID = t.db.NextID()
-	t.live = make(map[dataset.PointID]struct{}, t.db.Len())
-	for _, rec := range t.db.Snapshot() {
-		t.live[rec.ID] = struct{}{}
-	}
-	if cfg.PipelineDepth >= 1 {
-		sched, err := pipeline.New(t.sum, t.log, pipeline.Config{Replay: true})
-		if err != nil {
-			_ = t.log.Close()
-			return nil, err
-		}
-		t.sched = sched
 	}
 	t.publish()
 	return t, nil
@@ -336,9 +300,6 @@ func (t *tenant) start() {
 // abandon releases a tenant that lost the registration race: its
 // worker never started, so only the durable handles need closing.
 func (t *tenant) abandon() {
-	if t.sched != nil {
-		_ = t.sched.Close()
-	}
 	_ = t.log.Close()
 }
 
@@ -398,7 +359,6 @@ func (t *tenant) status() TenantStatus {
 		Resumed:                  t.resumed,
 		QueueLen:                 len(t.queue),
 		QueueCap:                 cap(t.queue),
-		Pipeline:                 t.cfg.PipelineDepth,
 		LastCheckpointAgeSeconds: t.checkpointAge(),
 	}
 	if rs != nil {
@@ -452,17 +412,95 @@ func (t *tenant) publish() {
 }
 
 // run is the worker: the single goroutine that owns the tenant's
-// database, summarizer, scheduler and log. It drains the queue,
-// degrades the tenant on a poisoned WAL, and finalizes (flush, final
-// checkpoint, close) when the queue closes.
+// database, summarizer and log. It applies each admitted batch on the
+// spot, propagating the request's deadline through ApplyBatchContext.
+// The core guarantees all-or-nothing under cancellation (mutation only
+// starts after the last ctx check), and the worker mirrors that at the
+// service level: the template batch is replayed into the database first
+// and undone again if the summarizer provably consumed nothing. A
+// poisoned WAL or a simulated crash degrades the tenant; when the queue
+// closes the worker finalizes (final checkpoint, close).
 func (t *tenant) run() {
 	defer t.workerWG.Done()
-	if t.sched != nil {
-		t.runPipelined()
-	} else {
-		t.runSerial()
-	}
+	t.ingest()
 	t.finalErr = t.finalize()
+}
+
+// ingest drains the queue until it closes or the tenant degrades.
+func (t *tenant) ingest() {
+	for req := range t.queue {
+		t.dequeued(req)
+		t.await()
+		if err := req.ctx.Err(); err != nil {
+			t.sink.Counter(telemetry.MetricServerCancelledBefore).Inc()
+			req.reply(ingestResult{err: err})
+			continue
+		}
+		if err := t.prepare(req.batch); err != nil {
+			req.reply(ingestResult{err: err})
+			continue
+		}
+		ordinal := t.sum.Batches()
+		prevNext := t.db.NextID()
+		applyStart := time.Now()
+		applied, err := req.batch.Replay(t.db)
+		if err != nil {
+			// Unreachable after prepare validated the batch against the
+			// database; a failure here means the two disagree, so fail stop.
+			t.setDegraded("replay_failed", err)
+			req.reply(ingestResult{err: fmt.Errorf("%w: replay_failed", ErrReadOnly)})
+			t.rejectRemaining()
+			return
+		}
+		stats, err := t.sum.ApplyBatchContext(req.ctx, applied)
+		if t.sum.Batches() == ordinal+1 {
+			// Committed. A surviving non-fatal error can only be a failed
+			// write-behind checkpoint (or its rotation) collected at this
+			// batch boundary, already re-attempted in place by the WAL's
+			// own policy; surface it as a warning. A poisoned log or a simulated crash
+			// still acks the batch (it is durable) but then degrades the
+			// tenant: a real crash would have died right here, post-commit.
+			res := ingestResult{ordinal: ordinal, stats: stats, firstID: firstInsertID(applied)}
+			if err != nil {
+				res.warning = err.Error()
+			}
+			t.metrics.applySeconds.Observe(time.Since(applyStart).Seconds())
+			t.sink.Counter(telemetry.MetricServerIngested).Inc()
+			t.publish()
+			req.reply(res)
+			if t.failStop(err) {
+				t.rejectRemaining()
+				return
+			}
+			continue
+		}
+		// Nothing consumed by the summarizer: undo the database replay so
+		// the batch is all-or-nothing end to end, IDs included.
+		undoBatch(t.db, applied, prevNext)
+		if t.failStop(err) {
+			req.reply(ingestResult{err: fmt.Errorf("%w: %s", ErrReadOnly, t.degrade.Load().Reason)})
+			t.rejectRemaining()
+			return
+		}
+		req.reply(ingestResult{err: err})
+	}
+}
+
+// failStop degrades the tenant when err (or the log) says this tenant's
+// process would be dead: a poisoned WAL, or a simulated crash — the
+// failpoint convention is fail-stop, so the worker must not continue
+// against durable state of unknown tail. The caller then replies and
+// rejects everything still queued.
+func (t *tenant) failStop(err error) bool {
+	if perr := t.log.Poisoned(); perr != nil {
+		t.setDegraded("wal_poisoned", perr)
+		return true
+	}
+	if errors.Is(err, failpoint.ErrCrash) {
+		t.setDegraded("simulated_crash", err)
+		return true
+	}
+	return false
 }
 
 // rejectRemaining consumes the queue until it closes, failing every
@@ -485,14 +523,12 @@ func (t *tenant) setDegraded(reason string, cause error) {
 	}
 }
 
-// prepare stamps server-assigned IDs onto the batch's inserts and
-// validates its deletes against the worker's shadow live set, committing
-// the shadow state only when the whole batch is valid. Submission order
-// is apply order, so the shadow set is exactly the database state the
-// batch will see at replay time even while earlier batches are still in
-// flight through the pipeline.
+// prepare stamps server-assigned IDs onto the batch's inserts, continuing
+// the database's allocator, and validates its deletes against the
+// database and the batch's own earlier inserts, so a malformed batch is
+// a rejected request rather than a Replay failure.
 func (t *tenant) prepare(batch dataset.Batch) error {
-	next := t.nextID
+	next := t.db.NextID()
 	ins := make(map[dataset.PointID]struct{})
 	del := make(map[dataset.PointID]struct{})
 	for i := range batch {
@@ -506,39 +542,16 @@ func (t *tenant) prepare(batch dataset.Batch) error {
 			if _, dup := del[u.ID]; dup {
 				return fmt.Errorf("%w: update %d deletes id %d twice", ErrBadBatch, i, u.ID)
 			}
-			_, inLive := t.live[u.ID]
 			if _, inBatch := ins[u.ID]; inBatch {
 				delete(ins, u.ID)
-			} else if inLive {
+			} else if t.db.Contains(u.ID) {
 				del[u.ID] = struct{}{}
 			} else {
 				return fmt.Errorf("%w: update %d deletes unknown id %d", ErrBadBatch, i, u.ID)
 			}
 		}
 	}
-	t.nextID = next
-	for id := range del {
-		delete(t.live, id)
-	}
-	for id := range ins {
-		t.live[id] = struct{}{}
-	}
 	return nil
-}
-
-// unprepare reverts prepare after a batch provably applied nothing. Only
-// valid while no later batch has been prepared on top of it — the serial
-// undo path and a pipelined submit that was refused outright.
-func (t *tenant) unprepare(batch dataset.Batch, prevNext dataset.PointID) {
-	for i := len(batch) - 1; i >= 0; i-- {
-		switch u := batch[i]; u.Op {
-		case dataset.OpInsert:
-			delete(t.live, u.ID)
-		case dataset.OpDelete:
-			t.live[u.ID] = struct{}{}
-		}
-	}
-	t.nextID = prevNext
 }
 
 // firstInsertID reports the first stamped insert ID of a prepared batch;
@@ -553,95 +566,12 @@ func firstInsertID(batch dataset.Batch) *uint64 {
 	return nil
 }
 
-// --- serial ingestion -------------------------------------------------
-
-// runSerial applies each admitted batch on the spot, propagating the
-// request's deadline through ApplyBatchContext. The core guarantees
-// all-or-nothing under cancellation (mutation only starts after the
-// last ctx check), and the worker mirrors that at the service level:
-// the template batch is replayed into the database first and undone
-// again if the summarizer provably consumed nothing.
-func (t *tenant) runSerial() {
-	for req := range t.queue {
-		t.dequeued(req)
-		t.await()
-		if err := req.ctx.Err(); err != nil {
-			t.sink.Counter(telemetry.MetricServerCancelledBefore).Inc()
-			req.reply(ingestResult{err: err})
-			continue
-		}
-		ordinal := t.sum.Batches()
-		prevNext := t.nextID
-		if err := t.prepare(req.batch); err != nil {
-			req.reply(ingestResult{err: err})
-			continue
-		}
-		applyStart := time.Now()
-		applied, err := req.batch.Replay(t.db)
-		if err != nil {
-			// Unreachable after prepare validated the batch; a failure here
-			// means the database and shadow state disagree, so fail stop.
-			t.setDegraded("replay_failed", err)
-			req.reply(ingestResult{err: fmt.Errorf("%w: replay_failed", ErrReadOnly)})
-			t.rejectRemaining()
-			return
-		}
-		stats, err := t.sum.ApplyBatchContext(req.ctx, applied)
-		if t.sum.Batches() == ordinal+1 {
-			// Committed. A surviving non-fatal error can only be the
-			// trailing retryable checkpoint, already re-attempted in place
-			// by the WAL's own policy; surface it as a warning. A poisoned
-			// log or a simulated crash in the trailing checkpoint still
-			// acks the batch (it is durable) but then degrades the tenant:
-			// a real crash would have died right here, post-commit.
-			res := ingestResult{ordinal: ordinal, stats: stats, firstID: firstInsertID(applied)}
-			if err != nil {
-				res.warning = err.Error()
-			}
-			t.metrics.applySeconds.Observe(time.Since(applyStart).Seconds())
-			t.sink.Counter(telemetry.MetricServerIngested).Inc()
-			t.publish()
-			req.reply(res)
-			if perr := t.log.Poisoned(); perr != nil {
-				t.setDegraded("wal_poisoned", perr)
-				t.rejectRemaining()
-				return
-			}
-			if errors.Is(err, failpoint.ErrCrash) {
-				t.setDegraded("simulated_crash", err)
-				t.rejectRemaining()
-				return
-			}
-			continue
-		}
-		// Nothing consumed by the summarizer: undo the database replay so
-		// the batch is all-or-nothing end to end.
-		undoBatch(t.db, applied)
-		t.unprepare(applied, prevNext)
-		if perr := t.log.Poisoned(); perr != nil {
-			t.setDegraded("wal_poisoned", perr)
-			req.reply(ingestResult{err: fmt.Errorf("%w: wal_poisoned", ErrReadOnly)})
-			t.rejectRemaining()
-			return
-		}
-		if errors.Is(err, failpoint.ErrCrash) {
-			// The failpoint convention is fail-stop: a simulated crash
-			// means this tenant's process is dead. Degrade instead of
-			// continuing against durable state of unknown tail.
-			t.setDegraded("simulated_crash", err)
-			req.reply(ingestResult{err: fmt.Errorf("%w: simulated_crash", ErrReadOnly)})
-			t.rejectRemaining()
-			return
-		}
-		req.reply(ingestResult{err: err})
-	}
-}
-
 // undoBatch reverses an applied template batch on the database:
 // inserts are deleted, deletes are re-inserted with their recorded
-// coordinates. Walked in reverse so interleaved updates unwind in
-// order.
-func undoBatch(db *dataset.DB, applied dataset.Batch) {
+// coordinates, walked in reverse so interleaved updates unwind in
+// order. The allocator then rewinds to prevNext, so the next batch is
+// assigned the same IDs this one was.
+func undoBatch(db *dataset.DB, applied dataset.Batch, prevNext dataset.PointID) {
 	for i := len(applied) - 1; i >= 0; i-- {
 		u := applied[i]
 		switch u.Op {
@@ -651,236 +581,20 @@ func undoBatch(db *dataset.DB, applied dataset.Batch) {
 			_ = db.InsertWithID(dataset.Record{ID: u.ID, P: u.P, Label: u.Label})
 		}
 	}
+	// Cannot fail: after the undo no live record is at or above prevNext.
+	_ = db.SetNextID(prevNext)
 }
 
-// --- pipelined ingestion ----------------------------------------------
-
-type inflightTicket struct {
-	req     *ingestReq
-	tk      *pipeline.Ticket
-	started time.Time // submit time; apply latency is observed at head ack
-}
-
-// runPipelined keeps a window of up to PipelineDepth batches in flight
-// through the scheduler, overlapping batch N+1's speculation and group
-// append with batch N's apply. A group-commit clean failure (the batch
-// provably consumed nothing) is re-driven through the seeded backoff
-// policy; a fatal or poisoning failure degrades the tenant.
-func (t *tenant) runPipelined() {
-	depth := t.cfg.PipelineDepth
-	var inflight []inflightTicket
-	open := true
-	for open || len(inflight) > 0 {
-		// Fill the window: block for work only when idle.
-		for open && len(inflight) < depth {
-			var req *ingestReq
-			var ok bool
-			if len(inflight) == 0 {
-				req, ok = <-t.queue
-			} else {
-				select {
-				case req, ok = <-t.queue:
-				default:
-					ok = true // nothing pending right now; go wait the head
-				}
-			}
-			if !ok {
-				open = false
-				break
-			}
-			if req == nil {
-				break
-			}
-			t.dequeued(req)
-			t.await()
-			if err := req.ctx.Err(); err != nil {
-				t.sink.Counter(telemetry.MetricServerCancelledBefore).Inc()
-				req.reply(ingestResult{err: err})
-				continue
-			}
-			prevNext := t.nextID
-			if err := t.prepare(req.batch); err != nil {
-				req.reply(ingestResult{err: err})
-				continue
-			}
-			submitted := time.Now()
-			tk, err := t.sched.Submit(req.ctx, req.batch)
-			if err != nil {
-				if t.checkFatal(err) {
-					req.reply(ingestResult{err: fmt.Errorf("%w: %s", ErrReadOnly, t.degrade.Load().Reason)})
-					t.failInflight(inflight)
-					t.rejectRemaining()
-					return
-				}
-				// Admission-time cancellation: the batch never entered the
-				// pipeline, and nothing was prepared on top of it yet.
-				t.unprepare(req.batch, prevNext)
-				req.reply(ingestResult{err: err})
-				continue
-			}
-			inflight = append(inflight, inflightTicket{req: req, tk: tk, started: submitted})
-		}
-		if len(inflight) == 0 {
-			continue
-		}
-		head := inflight[0]
-		// The durability ack must be observed even if the client went
-		// away: a submitted batch always runs to completion.
-		//lint:allow ctxflow the wait is deliberately not cancellable — the ticket's outcome must be observed exactly once
-		stats, err := head.tk.Wait(context.Background())
-		if err == nil || head.tk.Applied() {
-			res := ingestResult{ordinal: t.sum.Batches() - 1, stats: stats, firstID: firstInsertID(head.req.batch)}
-			if err != nil {
-				res.warning = err.Error()
-			}
-			t.metrics.applySeconds.Observe(time.Since(head.started).Seconds())
-			t.sink.Counter(telemetry.MetricServerIngested).Inc()
-			t.publish()
-			head.req.reply(res)
-			inflight = inflight[1:]
-			// Applied-with-error can hide a fatal trailing fault (poisoned
-			// log, crashed async checkpoint): the batch is durable and
-			// acked, but the tenant must stop here like a real post-commit
-			// crash would.
-			if err != nil && t.checkFatal(err) {
-				t.failInflight(inflight)
-				t.rejectRemaining()
-				return
-			}
-			continue
-		}
-		if t.checkFatal(err) {
-			head.req.reply(ingestResult{err: fmt.Errorf("%w: %s", ErrReadOnly, t.degrade.Load().Reason)})
-			t.failInflight(inflight[1:])
-			t.rejectRemaining()
-			return
-		}
-		// Clean failure: every ticket behind the head is stale (ErrStale)
-		// and consumed nothing. Wait them out — the scheduler's stall
-		// clears only once each outcome is observed — then re-drive the
-		// head and the stale batches, in order, under the backoff policy.
-		stale := inflight[1:]
-		for i := range stale {
-			//lint:allow ctxflow stale tickets must be observed to clear the scheduler stall
-			_, _ = stale[i].tk.Wait(context.Background())
-		}
-		inflight = nil
-		redo := append([]inflightTicket{head}, stale...)
-		for _, p := range redo {
-			if !t.redrive(p.req) {
-				t.failInflight(nil)
-				t.rejectRemaining()
-				return
-			}
-		}
-	}
-}
-
-// checkFatal inspects a failed submit/wait: a poisoned WAL or a sticky
-// scheduler failure degrades the tenant and returns true.
-func (t *tenant) checkFatal(err error) bool {
-	if perr := t.log.Poisoned(); perr != nil {
-		t.setDegraded("wal_poisoned", perr)
-		return true
-	}
-	if serr := t.sched.Err(); serr != nil {
-		t.setDegraded("pipeline_failed", serr)
-		return true
-	}
-	if errors.Is(err, failpoint.ErrCrash) {
-		t.setDegraded("pipeline_failed", err)
-		return true
-	}
-	return false
-}
-
-// failInflight replies the degradation error to every ticket still in
-// flight (their batches abort behind the fatal failure).
-func (t *tenant) failInflight(inflight []inflightTicket) {
-	for _, p := range inflight {
-		//lint:allow ctxflow aborted tickets still need their outcome observed
-		_, _ = p.tk.Wait(context.Background())
-		d := t.degrade.Load()
-		p.req.reply(ingestResult{err: fmt.Errorf("%w: %s", ErrReadOnly, d.Reason)})
-	}
-}
-
-// redrive resubmits one cleanly-failed batch under the tenant's backoff
-// policy. Only group-commit clean failures retry — a poisoned log, a
-// sticky scheduler failure, or a simulated crash stop immediately. A
-// batch being re-driven was already prepared (its IDs are committed in
-// the shadow state and later batches may reference them), so the retry
-// loop ignores the client's context and runs to commit or degradation —
-// retries exhausting degrades the tenant rather than leaving its shadow
-// state diverged from the summary. Returns false when the tenant
-// degraded.
-func (t *tenant) redrive(req *ingestReq) bool {
-	p := t.cfg.retryPolicy(t.seed)
-	p.Retryable = func(err error) bool {
-		if errors.Is(err, failpoint.ErrCrash) || errors.Is(err, pipeline.ErrClosed) {
-			return false
-		}
-		return t.log.Poisoned() == nil && t.sched.Err() == nil
-	}
-	p.OnAttempt = func(a retry.Attempt) {
-		if !a.Last {
-			t.sink.Counter(telemetry.MetricServerIngestRetries).Inc()
-			t.sink.Emit(telemetry.Event{Kind: telemetry.KindRetry, Batch: -1, A: a.N, N: int(a.Delay)})
-		}
-	}
-	//lint:allow ctxflow an admitted batch is re-driven to completion even if its client went away
-	err := retry.Do(context.Background(), p, func(ctx context.Context) error {
-		tk, serr := t.sched.Submit(ctx, req.batch)
-		if serr != nil {
-			return serr
-		}
-		//lint:allow ctxflow the durability ack must be observed even for an abandoned request
-		stats, werr := tk.Wait(context.Background())
-		if werr == nil || tk.Applied() {
-			res := ingestResult{ordinal: t.sum.Batches() - 1, stats: stats, firstID: firstInsertID(req.batch)}
-			if werr != nil {
-				res.warning = werr.Error()
-			}
-			t.sink.Counter(telemetry.MetricServerIngested).Inc()
-			t.publish()
-			req.reply(res)
-			return nil
-		}
-		return werr
-	})
-	if err == nil {
-		return true
-	}
-	if !t.checkFatal(err) {
-		t.setDegraded("retries_exhausted", err)
-	}
-	req.reply(ingestResult{err: fmt.Errorf("%w: %s", ErrReadOnly, t.degrade.Load().Reason)})
-	return false
-}
-
-// finalize flushes and closes the tenant's durable state at drain: the
-// pipeline drains, a healthy tenant writes a final checkpoint (so a
-// restart resumes without replaying any WAL suffix), and the log
-// closes. A degraded tenant is abandoned exactly as a crash would leave
-// it — no close, no final sync: its on-disk tail is whatever the fault
-// left, and recovery owns it from here.
+// finalize closes the tenant's durable state at drain: a healthy tenant
+// writes a final checkpoint (so a restart resumes without replaying any
+// WAL suffix) and closes its log. A degraded tenant is abandoned exactly
+// as a crash would leave it — no close, no final sync: its on-disk tail
+// is whatever the fault left, and recovery owns it from here. Only its
+// write-behind checkpoint, if one is in flight, is waited out, so no
+// background write outlives the tenant.
 func (t *tenant) finalize() error {
-	if t.degrade.Load() != nil {
-		if t.sched != nil {
-			_ = t.sched.Close()
-		}
-		return nil
-	}
-	if t.sched != nil {
-		if err := t.sched.Close(); err != nil && !errors.Is(err, wal.ErrCheckpointRetryable) {
-			if t.log.Poisoned() == nil {
-				_ = t.log.Close()
-				return fmt.Errorf("server: pipeline close: %w", err)
-			}
-			return nil
-		}
-	}
-	if t.log.Poisoned() != nil {
+	if t.degrade.Load() != nil || t.log.Poisoned() != nil {
+		_ = t.log.WaitCheckpoint()
 		return nil
 	}
 	if err := t.log.Checkpoint(t.sum); err != nil {

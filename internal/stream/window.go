@@ -16,7 +16,6 @@ import (
 
 	"incbubbles/internal/core"
 	"incbubbles/internal/dataset"
-	"incbubbles/internal/pipeline"
 	"incbubbles/internal/vecmath"
 	"incbubbles/internal/wal"
 )
@@ -49,13 +48,6 @@ type Config struct {
 	// per point; a crash loses at most the un-flushed buffer. Use Resume
 	// to reopen a window from such a directory.
 	Durability *wal.Options
-	// Pipeline, when non-nil, routes flushes through the staged ingestion
-	// scheduler (DESIGN.md §13): speculative phase-1 search against a
-	// snapshot view, and — when combined with Durability — WAL group
-	// commit and async checkpoints. Depth must be at least 1, and a
-	// durable pipelined window requires Durability.GroupCommit ≥ 1. The
-	// summary stays bit-identical to a Depth-0 durable window.
-	Pipeline *core.PipelineOptions
 }
 
 func (c Config) withDefaults() Config {
@@ -96,14 +88,6 @@ func (c Config) validate() error {
 	if c.Warmup < c.Bubbles {
 		return errors.New("stream: warmup smaller than bubble count")
 	}
-	if c.Pipeline != nil {
-		if c.Pipeline.Depth < 1 {
-			return errors.New("stream: pipelined window needs Pipeline.Depth ≥ 1")
-		}
-		if c.Durability != nil && c.Durability.GroupCommit < 1 {
-			return errors.New("stream: pipelined durability requires Durability.GroupCommit ≥ 1")
-		}
-	}
 	return nil
 }
 
@@ -114,8 +98,6 @@ type Window struct {
 	db       *dataset.DB
 	sum      *core.Summarizer
 	log      *wal.Log
-	sched    *pipeline.Scheduler
-	inflight *pipeline.Ticket
 	fifo     []dataset.PointID
 	head     int // index of the oldest live entry in fifo
 	pending  dataset.Batch
@@ -160,13 +142,6 @@ func (w *Window) Config() Config { return w.cfg }
 // window is full. Maintenance runs automatically every FlushEvery updates
 // once the summary exists.
 func (w *Window) Push(p vecmath.Point, label int) error {
-	// A pipelined flush left in flight by a cancelled context must finish
-	// before the window mutates the database the applier reads from.
-	if w.inflight != nil {
-		if _, err := w.reapInflight(context.Background()); err != nil {
-			return err
-		}
-	}
 	// Evict before inserting so the window never exceeds capacity.
 	if w.db.Len() >= w.cfg.Capacity {
 		if err := w.evictOldest(); err != nil {
@@ -228,23 +203,7 @@ func (w *Window) coreOptions() core.Options {
 		UseTriangleInequality: true,
 		Seed:                  w.cfg.Seed,
 		Config:                w.cfg.Summarizer,
-		Pipeline:              w.cfg.Pipeline,
 	}
-}
-
-// attachScheduler starts the staged ingestion scheduler over a freshly
-// built or resumed summarizer. The window's batches are pre-applied to
-// w.db at Push time, so the scheduler runs in non-replay mode.
-func (w *Window) attachScheduler() error {
-	if w.cfg.Pipeline == nil {
-		return nil
-	}
-	sched, err := pipeline.New(w.sum, w.log, pipeline.Config{})
-	if err != nil {
-		return err
-	}
-	w.sched = sched
-	return nil
 }
 
 func (w *Window) build() error {
@@ -254,14 +213,14 @@ func (w *Window) build() error {
 			return err
 		}
 		w.sum, w.log = sum, log
-		return w.attachScheduler()
+		return nil
 	}
 	sum, err := core.New(w.db, w.coreOptions())
 	if err != nil {
 		return err
 	}
 	w.sum = sum
-	return w.attachScheduler()
+	return nil
 }
 
 // Resume reopens a durable window from cfg.Durability.Dir: the summary
@@ -293,9 +252,6 @@ func Resume(cfg Config) (*Window, error) {
 	w.fifo = w.db.IDs()
 	sort.Slice(w.fifo, func(a, b int) bool { return w.fifo[a] < w.fifo[b] })
 	w.arrived = w.db.Len()
-	if err := w.attachScheduler(); err != nil {
-		return nil, err
-	}
 	return w, nil
 }
 
@@ -325,18 +281,9 @@ func (w *Window) Flush() (core.BatchStats, error) {
 // poisoned log also clears the buffer: the batch is either durably
 // logged (replay re-applies it) or lost with the torn tail, and either
 // way only wal.Resume can continue from here.
-//
-// On a pipelined window the batch travels through the scheduler, and a
-// cancelled context can return while the batch is still mid-group-commit
-// on the applier goroutine. The batch then stays in flight — not lost,
-// not duplicated — and the next flush (or push) waits it out and
-// observes its real outcome before new work is admitted.
 func (w *Window) FlushContext(ctx context.Context) (core.BatchStats, error) {
 	if w.sum == nil {
 		return core.BatchStats{}, nil
-	}
-	if w.sched != nil {
-		return w.flushPipelined(ctx)
 	}
 	if len(w.pending) == 0 {
 		return core.BatchStats{}, nil
@@ -345,63 +292,6 @@ func (w *Window) FlushContext(ctx context.Context) (core.BatchStats, error) {
 	stats, err := w.sum.ApplyBatchContext(ctx, w.pending)
 	if w.sum.Batches() != before || (w.log != nil && w.log.Poisoned() != nil) {
 		w.pending = w.pending[:0]
-	}
-	return stats, err
-}
-
-func (w *Window) flushPipelined(ctx context.Context) (core.BatchStats, error) {
-	if w.inflight != nil {
-		if stats, err := w.reapInflight(ctx); err != nil {
-			return stats, err
-		}
-	}
-	if len(w.pending) == 0 {
-		return core.BatchStats{}, nil
-	}
-	tk, err := w.sched.Submit(ctx, w.pending)
-	if err != nil {
-		return core.BatchStats{}, err
-	}
-	// Ownership of the buffered updates moves to the ticket; if the wait
-	// below is cancelled they ride along in flight, not in w.pending.
-	w.pending = nil
-	w.inflight = tk
-	return w.reapInflight(ctx)
-}
-
-// reapInflight waits out the in-flight ticket and settles the buffer
-// contract: a context cancellation keeps the ticket in flight for a later
-// retry; a clean scheduler failure (nothing applied, nothing durable)
-// puts the batch back at the front of the pending buffer; a fatal one
-// (poisoned log, sticky scheduler error) drops it, because the batch is
-// either already durable or lost with the log and only wal.Resume can
-// continue. An applied batch is never requeued, even when its ticket
-// carries an error — that is a trailing checkpoint failure, and the
-// batch counter advancing is the commit signal, same as the serial path.
-func (w *Window) reapInflight(ctx context.Context) (core.BatchStats, error) {
-	stats, err := w.inflight.Wait(ctx)
-	if err != nil && ctx.Err() != nil {
-		if !w.inflight.Done() {
-			return stats, err // still in flight; reaped by the next flush or push
-		}
-		// Wait's select raced a concurrent completion and returned the
-		// cancellation even though the ticket is settled. Re-read the
-		// real outcome: classifying on ctx.Err() here could requeue a
-		// batch the applier already absorbed — duplicate application.
-		//lint:allow ctxflow settled-ticket re-read must not observe the cancelled ctx: the outcome already exists and returns immediately
-		stats, err = w.inflight.Wait(context.Background())
-	}
-	tk := w.inflight
-	w.inflight = nil
-	if err == nil {
-		return stats, nil
-	}
-	if !tk.Applied() && w.sched.Err() == nil && (w.log == nil || w.log.Poisoned() == nil) {
-		batch := tk.Batch()
-		merged := make(dataset.Batch, 0, len(batch)+len(w.pending))
-		merged = append(merged, batch...)
-		merged = append(merged, w.pending...)
-		w.pending = merged
 	}
 	return stats, err
 }
@@ -421,20 +311,14 @@ func (w *Window) Checkpoint() error {
 	return w.log.Checkpoint(w.sum)
 }
 
-// Close flushes, drains the ingestion scheduler when pipelined (this is
-// where an async-checkpoint failure with no later batch to report through
-// surfaces), takes a final checkpoint when durable, and releases the log.
-// The window must not be used afterwards.
+// Close flushes, takes a final checkpoint when durable (this is where a
+// write-behind checkpoint failure with no later cadence point to report
+// through surfaces), and releases the log. The window must not be used
+// afterwards.
 func (w *Window) Close() error {
 	var err error
 	if w.sum != nil {
 		_, err = w.Flush()
-	}
-	if w.sched != nil {
-		if cerr := w.sched.Close(); err == nil {
-			err = cerr
-		}
-		w.sched = nil
 	}
 	if w.log == nil {
 		return err
@@ -448,12 +332,5 @@ func (w *Window) Close() error {
 	return err
 }
 
-// Pending returns the number of buffered, not-yet-applied updates,
-// including a batch a cancelled flush left in flight.
-func (w *Window) Pending() int {
-	n := len(w.pending)
-	if w.inflight != nil {
-		n += len(w.inflight.Batch())
-	}
-	return n
-}
+// Pending returns the number of buffered, not-yet-applied updates.
+func (w *Window) Pending() int { return len(w.pending) }

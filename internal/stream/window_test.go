@@ -219,7 +219,11 @@ func TestDurableWindowResume(t *testing.T) {
 	durableLen := w.Len() - w.Pending() // un-flushed pushes are lost by design
 	_ = durableLen
 
-	// Simulated kill: no Close, no final flush.
+	// Simulated kill: no Close, no final flush — only the write-behind
+	// checkpoint in flight is waited out, so it cannot race the resume.
+	if err := w.Log().WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
 	r, err := Resume(cfg)
 	if err != nil {
 		t.Fatalf("resume: %v", err)

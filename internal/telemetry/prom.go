@@ -250,7 +250,6 @@ var promHelpText = map[string]string{
 	MetricEventsDropped:          "Telemetry events evicted from the bounded event ring.",
 	MetricTraceSpansDropped:      "Spans evicted from the bounded trace ring.",
 	MetricWALFsyncSeconds:        "WAL fsync latency in seconds.",
-	MetricWALGroupCommitSeconds:  "WAL shared group-commit flush latency in seconds.",
 	MetricWALCheckpointSeconds:   "WAL checkpoint write latency in seconds.",
 }
 

@@ -56,12 +56,10 @@ const (
 	MetricWALCheckpointRetries = "wal.checkpoint_retries"
 
 	// WAL latency histograms (SecondsBounds buckets): each fsync the
-	// layer issues, each shared group-commit flush, and each whole
-	// checkpoint write (encode + temp write + fsync + rename), sync or
-	// async alike.
-	MetricWALFsyncSeconds       = "wal.fsync_seconds"
-	MetricWALGroupCommitSeconds = "wal.group_commit_seconds"
-	MetricWALCheckpointSeconds  = "wal.checkpoint_seconds"
+	// layer issues, and each whole checkpoint (encode + temp write +
+	// fsync + rename), explicit or write-behind alike.
+	MetricWALFsyncSeconds      = "wal.fsync_seconds"
+	MetricWALCheckpointSeconds = "wal.checkpoint_seconds"
 
 	// Serving layer (internal/server): per-tenant ingest accounting and
 	// the fault-tolerance machinery around it (DESIGN.md §15).

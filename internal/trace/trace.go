@@ -60,13 +60,11 @@ const (
 	// bounded queue before its worker picked it up.
 	AttrRequestID = "request_id"
 	AttrQueueWait = "queue_wait_ns"
-	// AttrSpecHit marks a pipelined batch span: 1 when the speculative
-	// phase-1 result was accepted, 0 when it was stale and the search
-	// reran against live state. Spans of the pipelined path:
-	// core.search.spec (the speculative search, bound to the view's
-	// counter), core.pipeline.stall (scheduler time blocked waiting for a
-	// speculation), wal.group_commit (one shared fsync covering a queue
-	// of appended records).
+	// AttrSpecHit is never set any more.
+	//
+	// Deprecated: it marked batches of the removed speculative pipeline
+	// (1 when a speculative search was adopted); the constant stays for
+	// trace readers that still look it up.
 	AttrSpecHit = "spec_hit"
 )
 

@@ -143,7 +143,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			walOpts := walBase
 			walOpts.Dir = dir
 			walOpts.Failpoints = reg
-			s, _, err := New(db, opts, walOpts)
+			s, l, err := New(db, opts, walOpts)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -160,6 +160,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					killed = true // simulated kill: abandon everything
 					break
 				}
+			}
+			// The simulated kill abandons the log only once no write-behind
+			// checkpoint is in flight, so no background write races the
+			// resume. A fault in that last write is itself the kill.
+			if err := l.WaitCheckpoint(); err != nil {
+				killed = true
 			}
 			if !killed {
 				// The injected fault surfaced nowhere — acceptable only if
@@ -186,6 +192,9 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			}
 			if got := fingerprint(t, st.Summarizer); !bytes.Equal(got, want) {
 				t.Fatal("recovered run differs from uninterrupted run")
+			}
+			if err := st.Log.Close(); err != nil {
+				t.Fatalf("close: %v", err)
 			}
 		})
 	}
@@ -233,21 +242,24 @@ func TestCrashDuringNew(t *testing.T) {
 	_ = l.Close()
 }
 
-// TestTornCheckpointTempInvisible kills mid-way through the checkpoint
-// temp write: the torn temp file must be invisible to recovery (never
-// renamed in), and the previous checkpoint still resumes.
+// TestTornCheckpointTempInvisible kills mid-way through the write-behind
+// checkpoint's temp write: the torn temp file must be invisible to
+// recovery (never renamed in), and the previous checkpoint still resumes.
 func TestTornCheckpointTempInvisible(t *testing.T) {
 	f := makeFixture(t, 300, 3)
 	dir := t.TempDir()
 	reg := failpoint.New(5)
 	db := f.initial.Clone()
-	s, _, err := New(db, coreOpts(), Options{Dir: dir, CheckpointEvery: 1, Failpoints: reg})
+	s, l, err := New(db, coreOpts(), Options{Dir: dir, CheckpointEvery: 1, Failpoints: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	reg.ArmTorn(FailCkptWrite, 1)
 	applied, _ := applyToDB(db, f.batches[0])
-	if _, err := s.ApplyBatchContext(context.Background(), applied); err == nil {
+	if _, err := s.ApplyBatchContext(context.Background(), applied); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if err := l.WaitCheckpoint(); err == nil {
 		t.Fatal("torn checkpoint write surfaced no error")
 	}
 	// The batch itself is durable in the WAL; only the checkpoint died.

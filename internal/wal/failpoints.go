@@ -22,43 +22,23 @@ const (
 	// FailCkptGC guards the garbage collection of superseded checkpoints
 	// and fully-covered segments.
 	FailCkptGC = "wal.ckpt.gc"
-	// FailAppendNoSpace guards the record append (serial BeforeApply and
-	// group Enqueue) with disk-full semantics (write-type; arm with
-	// ArmTornError for a partial frame). An append that fails with
-	// failpoint.ErrNoSpace poisons the log fail-stop even when nothing
-	// was written: a full device cannot accept the record, retrying in
-	// place would spin, and a real ENOSPC may leave an undetectable
-	// partial frame — the operator frees space and Resumes.
+	// FailAppendNoSpace guards the record append with disk-full
+	// semantics (write-type; arm with ArmTornError for a partial frame).
+	// An append that fails with failpoint.ErrNoSpace poisons the log
+	// fail-stop even when nothing was written: a full device cannot
+	// accept the record, retrying in place would spin, and a real ENOSPC
+	// may leave an undetectable partial frame — the operator frees space
+	// and Resumes.
 	FailAppendNoSpace = "wal.append.nospace"
-	// FailCheckpointNoSpace guards the checkpoint temp-file write (both
-	// the synchronous and the async path) with disk-full semantics
-	// (write-type). A fired point is retryable and never poisons: the
+	// FailCheckpointNoSpace guards the checkpoint temp-file write (of
+	// explicit and write-behind checkpoints alike) with disk-full
+	// semantics (write-type). A fired point is retryable and never poisons: the
 	// torn temp file is invisible to recovery, the previous checkpoint
 	// plus the intact WAL still reconstruct the state, and no acked
 	// batch is lost. ENOSPC on the rename is simulated by arming the
 	// existing rename points with failpoint.ErrNoSpace — same retryable
 	// outcome.
 	FailCheckpointNoSpace = "wal.ckpt.nospace"
-)
-
-// Failpoints of the group-commit queue and the async checkpoint
-// (DESIGN.md §13) — only reachable in group mode (Options.GroupCommit >
-// 0), so they are listed separately: the serial crash matrix covers
-// Failpoints(), the pipelined legs additionally cover these.
-const (
-	// FailGroupAppend guards the unsynced segment write of one enqueued
-	// record (write-type: torn mode persists a seeded prefix).
-	FailGroupAppend = "wal.group.append"
-	// FailGroupSync guards the shared fsync covering the pending queue.
-	FailGroupSync = "wal.group.sync"
-	// FailGroupAck guards the ack release after a successful group fsync.
-	FailGroupAck = "wal.group.ack"
-	// FailAsyncCkptEncode guards the synchronous snapshot encode that
-	// starts an async checkpoint.
-	FailAsyncCkptEncode = "wal.async.ckpt.encode"
-	// FailAsyncCkptRename guards the background rename installing an
-	// async checkpoint.
-	FailAsyncCkptRename = "wal.async.ckpt.rename"
 )
 
 // Failpoints returns the names of every failpoint in the WAL and
@@ -74,17 +54,5 @@ func Failpoints() []string {
 		FailCkptGC,
 		FailAppendNoSpace,
 		FailCheckpointNoSpace,
-	}
-}
-
-// GroupFailpoints returns the failpoints only reachable in group-commit
-// mode. The pipelined crash matrix must cover every one of these.
-func GroupFailpoints() []string {
-	return []string{
-		FailGroupAppend,
-		FailGroupSync,
-		FailGroupAck,
-		FailAsyncCkptEncode,
-		FailAsyncCkptRename,
 	}
 }

@@ -39,15 +39,6 @@ type Options struct {
 	// storage only at checkpoints and Close. Faster, but a crash can lose
 	// the batches since the last sync. Default false: every append syncs.
 	NoSync bool
-	// GroupCommit, when > 0, enables the group-commit queue (DESIGN.md
-	// §13): Enqueue appends records without syncing, Flush (or a
-	// BeforeApply that reaches an unflushed record) covers every pending
-	// record with one shared fsync, and GroupCommit bounds how many
-	// records one fsync may cover. Cadence checkpoints become async —
-	// AfterApply only marks them due; a pipeline scheduler initiates them
-	// off the apply path via StartAsyncCheckpoint. 0 (the default) keeps
-	// the serial per-append fsync discipline.
-	GroupCommit int
 	// CheckpointRetry bounds in-place retries of a failed checkpoint
 	// file write (internal/retry seeded-jitter backoff). The zero value
 	// performs a single attempt — exactly the historical behaviour — and
@@ -114,11 +105,9 @@ var ErrPoisoned = errors.New("wal: log poisoned by earlier failure")
 // Log is the write-ahead log of one Summarizer. It implements
 // core.Durability: BeforeApply appends the batch to the current segment
 // and syncs it before the summarizer mutates anything, and AfterApply
-// takes automatic checkpoints. All public entry points serialize on an
-// internal mutex, so a pipeline scheduler's searcher goroutine may
-// Enqueue/Flush while the applier goroutine runs BeforeApply/AfterApply
-// and an async checkpoint writes in the background; the serial
-// single-goroutine usage pays one uncontended lock per call.
+// takes automatic write-behind checkpoints (see AfterApply). All public
+// entry points serialize on an internal mutex; the checkpoint writer
+// goroutine never takes it.
 type Log struct {
 	dir    string
 	opts   Options
@@ -128,12 +117,13 @@ type Log struct {
 	tracer *trace.Tracer
 	m      walMetrics
 
-	// mu serializes the log file: appends, rotation, fsync and checkpoint
-	// writes all happen under it, so a crash can never observe a torn
-	// interleaving of two records. Holding it across fsync is the design,
-	// not an accident — group commit (group.go) amortizes exactly this
-	// wait across the batched waiters.
-	//lint:lockcover blocking the log mutex deliberately covers fsync/rotate; group commit amortizes the wait (DESIGN.md §13)
+	// mu serializes the log file: appends, rotation and fsync all happen
+	// under it, so a crash can never observe a torn interleaving of two
+	// records. Holding it across fsync is the design, not an accident:
+	// the single ingest goroutine is its only contender, and waiting for a
+	// write-behind checkpoint under it is safe because the writer never
+	// takes it.
+	//lint:lockcover blocking the log mutex deliberately covers fsync, rotation and the wait for a write-behind checkpoint (DESIGN.md §10)
 	mu          sync.Mutex
 	f           *os.File
 	segSize     int64
@@ -142,10 +132,10 @@ type Log struct {
 	replaying   bool
 	poisoned    error
 	closed      bool
-	group       groupState // group-commit queue + async checkpoint (group.go)
+	inflight    *ckptWrite // write-behind checkpoint being written, nil when idle
 
-	// lastCkpt is the wall-clock time of the last successful checkpoint
-	// (sync or async), in unix nanoseconds; 0 before the first. It feeds
+	// lastCkpt is the wall-clock time of the last successful checkpoint,
+	// in unix nanoseconds; 0 before the first. It feeds
 	// the serving layer's last-checkpoint-age health surface and is kept
 	// atomic so scrapes never contend with the log mutex across an fsync.
 	lastCkpt atomic.Int64
@@ -179,9 +169,8 @@ type walMetrics struct {
 	replayed        *telemetry.Counter
 	ckptRetries     *telemetry.Counter
 
-	fsyncSeconds       *telemetry.Histogram
-	groupCommitSeconds *telemetry.Histogram
-	checkpointSeconds  *telemetry.Histogram
+	fsyncSeconds      *telemetry.Histogram
+	checkpointSeconds *telemetry.Histogram
 }
 
 func newWALMetrics(sink *telemetry.Sink) walMetrics {
@@ -196,9 +185,8 @@ func newWALMetrics(sink *telemetry.Sink) walMetrics {
 		replayed:        sink.Counter(telemetry.MetricWALReplayedBatches),
 		ckptRetries:     sink.Counter(telemetry.MetricWALCheckpointRetries),
 
-		fsyncSeconds:       sink.Histogram(telemetry.MetricWALFsyncSeconds, telemetry.SecondsBounds()),
-		groupCommitSeconds: sink.Histogram(telemetry.MetricWALGroupCommitSeconds, telemetry.SecondsBounds()),
-		checkpointSeconds:  sink.Histogram(telemetry.MetricWALCheckpointSeconds, telemetry.SecondsBounds()),
+		fsyncSeconds:      sink.Histogram(telemetry.MetricWALFsyncSeconds, telemetry.SecondsBounds()),
+		checkpointSeconds: sink.Histogram(telemetry.MetricWALCheckpointSeconds, telemetry.SecondsBounds()),
 	}
 }
 
@@ -292,16 +280,6 @@ func (l *Log) BeforeApply(ctx context.Context, ordinal uint64, batch dataset.Bat
 		l.m.replayed.Inc()
 		return nil
 	}
-	if l.opts.GroupCommit > 0 {
-		// Group mode: the record may already be durable (acked by a
-		// shared fsync), or appended and awaiting one — consume the ack
-		// or flush on demand. Only a record never enqueued falls through
-		// to the serial append-and-sync below (a group of one), which
-		// keeps the core.Durability contract for direct ApplyBatch calls.
-		if handled, err := l.groupBeforeApply(ctx, ordinal); handled {
-			return err
-		}
-	}
 	sp := l.startSpan(ctx, "wal.append")
 	defer sp.End()
 	sp.SetInt(trace.AttrOrdinal, int64(ordinal))
@@ -383,6 +361,13 @@ func (l *Log) rollbackAppend() error {
 // mid-mutation it poisons the log — the batch is durable but the
 // in-memory summary is in an unknown intermediate state, so the log (the
 // durable truth) stops advancing until the caller resumes from disk.
+//
+// Cadence checkpoints are write-behind: the image is encoded here, at
+// the batch boundary, and a background goroutine writes, fsyncs and
+// installs it while the next batches proceed. The first AfterApply that
+// finds the write finished collects it (see settleCheckpoint). A
+// checkpoint that comes due while the previous one is still being
+// written waits for it first — checkpoints never coalesce.
 func (l *Log) AfterApply(ctx context.Context, s *core.Summarizer, applyErr error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -395,99 +380,173 @@ func (l *Log) AfterApply(ctx context.Context, s *core.Summarizer, applyErr error
 	if l.replaying || l.poisoned != nil || l.closed {
 		return nil
 	}
-	if l.opts.GroupCommit > 0 {
-		// Group mode: cadence checkpoints run asynchronously, initiated
-		// by the scheduler at a batch boundary (StartAsyncCheckpoint) so
-		// the apply path never stalls on checkpoint encoding or I/O. A
-		// completed async checkpoint's failure surfaces here, exactly
-		// where a synchronous checkpoint failure would have.
-		l.sinceCkpt++
-		if l.sinceCkpt >= l.opts.CheckpointEvery {
-			l.group.ckptDue = true
-		}
-		if err := l.group.asyncErr; err != nil {
-			l.group.asyncErr = nil
-			return err
-		}
-		return nil
-	}
 	l.sinceCkpt++
-	if l.sinceCkpt >= l.opts.CheckpointEvery {
-		return l.checkpoint(ctx, s)
+	if l.sinceCkpt < l.opts.CheckpointEvery {
+		//lint:allow ctxflow settleCheckpoint(false) never blocks: it collects only a write that has already finished
+		return l.settleCheckpoint(false)
 	}
+	// The batch is committed; its cadence point must not be abandoned.
+	//lint:allow ctxflow waiting out the previous write-behind checkpoint is bounded by that write, never by a request deadline
+	if err := l.settleCheckpoint(true); err != nil {
+		return err
+	}
+	w, err := l.beginCheckpoint(ctx, s)
+	if err != nil {
+		return err
+	}
+	l.inflight = w
+	go func() {
+		w.err = l.writeCheckpoint(w)
+		close(w.done)
+	}()
 	return nil
 }
 
 // Checkpoint atomically persists s (database + bubble snapshot) and
 // rotates the WAL to a fresh segment: write to a temp file, fsync,
-// rename into place, fsync the directory. A checkpoint failure does not
-// poison the log — the previous checkpoint plus the intact WAL still
-// reconstruct the state — so the caller may keep applying batches and
-// retry at the next cadence point.
+// rename into place, fsync the directory. It first waits for a
+// write-behind checkpoint still in flight; this checkpoint supersedes
+// that one, so a failure of it is dropped unless it was a simulated
+// crash (fail-stop). A checkpoint failure does not poison the log — the
+// previous checkpoint plus the intact WAL still reconstruct the state —
+// so the caller may keep applying batches and retry.
 func (l *Log) Checkpoint(s *core.Summarizer) error {
-	if err := l.AsyncBarrier(); err != nil {
-		return err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.checkpoint(context.Background(), s)
-}
-
-// checkpoint is Checkpoint with the caller's context, so a checkpoint
-// taken by AfterApply's cadence nests its span under the batch span.
-func (l *Log) checkpoint(ctx context.Context, s *core.Summarizer) error {
-	if l.poisoned != nil {
-		return l.poisoned
+	if err := l.settleCheckpoint(true); errors.Is(err, failpoint.ErrCrash) {
+		return err
 	}
-	if l.closed {
-		return errors.New("wal: log is closed")
-	}
-	if uint64(s.Batches()) != l.nextOrdinal {
-		return fmt.Errorf("wal: summarizer at batch %d but log at %d", s.Batches(), l.nextOrdinal)
-	}
-	sp := l.startSpan(ctx, "wal.checkpoint")
-	defer sp.End()
-	ckptStart := time.Now()
-	data, err := encodeCheckpoint(s)
+	w, err := l.beginCheckpoint(context.Background(), s)
 	if err != nil {
 		return err
 	}
-	ordinal := uint64(s.Batches())
-	sp.SetInt(trace.AttrOrdinal, int64(ordinal))
-	sp.SetInt(trace.AttrBytes, int64(len(data)))
-	if err := l.retryCheckpointWrite(ctx, func() error {
-		return l.writeCheckpointFile(sp, ordinal, data)
-	}); err != nil {
-		return fmt.Errorf("wal: checkpoint %d: %w", ordinal, err)
+	if err := l.writeCheckpoint(w); err != nil {
+		return err
 	}
-	l.sinceCkpt = 0
-	l.m.checkpoints.Inc()
-	l.m.checkpointBytes.Add(uint64(len(data)))
-	l.m.checkpointSeconds.Observe(time.Since(ckptStart).Seconds())
-	l.lastCkpt.Store(wallNanos())
-	l.emit(telemetry.Event{Kind: telemetry.KindCheckpoint, Batch: int(ordinal), A: int(ordinal), N: len(data)})
+	return l.rotateAndCollect()
+}
+
+// WaitCheckpoint blocks until the write-behind checkpoint in flight, if
+// any, is installed or has failed, collects it (see settleCheckpoint)
+// and returns its failure. A caller that abandons the log to simulate a
+// crash waits here first, so no background write races the recovery
+// that follows.
+func (l *Log) WaitCheckpoint() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.settleCheckpoint(true)
+}
+
+// ckptWrite is one checkpoint image on its way to disk. err is set
+// before done closes.
+type ckptWrite struct {
+	ordinal uint64
+	data    []byte
+	sp      *trace.Span
+	start   time.Time
+	done    chan struct{}
+	err     error
+}
+
+// settleCheckpoint collects the write-behind checkpoint once its writer
+// has finished — waiting for it when wait is set, else only if it is
+// already done — and reports its failure. Each failure is reported once,
+// to the first collector: an AfterApply, Checkpoint, Close or
+// WaitCheckpoint. Once the image is installed the log rotates to a fresh
+// segment and garbage-collects here, on the caller's goroutine, where
+// segment I/O stays serialized under l.mu — and after the batch that
+// took the checkpoint, because rotating on that batch measurably raised
+// ingest p95 (DESIGN.md §13). Runs with l.mu held; the writer never
+// takes it.
+func (l *Log) settleCheckpoint(wait bool) error {
+	w := l.inflight
+	if w == nil {
+		return nil
+	}
+	if wait {
+		<-w.done
+	} else {
+		select {
+		case <-w.done:
+		default:
+			return nil
+		}
+	}
+	l.inflight = nil
+	if w.err != nil || l.poisoned != nil {
+		return w.err
+	}
+	return l.rotateAndCollect()
+}
+
+// rotateAndCollect follows an installed checkpoint: the WAL moves to a
+// fresh segment named after the next ordinal — records the checkpoint
+// already covers may sit at the head of the old one, which recovery
+// skips — and superseded checkpoints and segments are removed.
+func (l *Log) rotateAndCollect() error {
 	if err := l.rotate(); err != nil {
 		return err
 	}
 	return l.gc()
 }
 
-// retryCheckpointWrite runs one checkpoint file-write attempt under the
-// configured CheckpointRetry policy. This replaces the layer's ad-hoc
-// single-shot discipline with bounded in-place attempts: the zero
-// policy still performs exactly one, and the cadence re-arm (serial:
-// sinceCkpt keeps counting; group: ckptDue re-set on failure) remains
-// the outer fallback once attempts are exhausted. The classifier is
-// owned here and never retries a simulated crash — by the failpoint
-// convention the process is dead at that instant — while everything
-// else (ENOSPC on the temp write, a failed rename) is retryable
-// because a failed attempt leaves only an invisible temp file behind.
-func (l *Log) retryCheckpointWrite(ctx context.Context, op func() error) error {
-	return retry.Do(ctx, l.checkpointRetryPolicy(), func(context.Context) error { return op() })
+// beginCheckpoint is the synchronous half of every checkpoint, run with
+// l.mu held at a batch boundary, the only moment s is quiescent: it
+// encodes s. The span it opens (a child of the batch span riding ctx) is
+// ended by writeCheckpoint.
+func (l *Log) beginCheckpoint(ctx context.Context, s *core.Summarizer) (*ckptWrite, error) {
+	if l.poisoned != nil {
+		return nil, l.poisoned
+	}
+	if l.closed {
+		return nil, errors.New("wal: log is closed")
+	}
+	if uint64(s.Batches()) != l.nextOrdinal {
+		return nil, fmt.Errorf("wal: summarizer at batch %d but log at %d", s.Batches(), l.nextOrdinal)
+	}
+	w := &ckptWrite{ordinal: l.nextOrdinal, sp: l.startSpan(ctx, "wal.checkpoint"), start: time.Now(), done: make(chan struct{})}
+	w.sp.SetInt(trace.AttrOrdinal, int64(w.ordinal))
+	data, err := encodeCheckpoint(s)
+	if err != nil {
+		w.sp.End()
+		return nil, err
+	}
+	w.data = data
+	w.sp.SetInt(trace.AttrBytes, int64(len(data)))
+	l.sinceCkpt = 0
+	return w, nil
+}
+
+// writeCheckpoint is the I/O half: temp write → fsync → rename → fsync
+// dir under the CheckpointRetry policy. It touches only the checkpoint
+// file and the directory — never the segment file or any state guarded
+// by l.mu — so it runs inline for Checkpoint and on the writer goroutine
+// for cadence checkpoints. The writer has no request context by design:
+// a checkpoint must not be abandoned mid-write by an ingest deadline.
+func (l *Log) writeCheckpoint(w *ckptWrite) error {
+	defer w.sp.End()
+	//lint:allow ctxflow a checkpoint write is deliberately not cancellable by request contexts
+	err := retry.Do(context.Background(), l.checkpointRetryPolicy(), func(context.Context) error {
+		return l.writeCheckpointFile(w.sp, w.ordinal, w.data)
+	})
+	if err != nil {
+		return fmt.Errorf("wal: checkpoint %d: %w", w.ordinal, err)
+	}
+	l.m.checkpoints.Inc()
+	l.m.checkpointBytes.Add(uint64(len(w.data)))
+	l.m.checkpointSeconds.Observe(time.Since(w.start).Seconds())
+	l.lastCkpt.Store(wallNanos())
+	l.emit(telemetry.Event{Kind: telemetry.KindCheckpoint, Batch: int(w.ordinal), A: int(w.ordinal), N: len(w.data)})
+	return nil
 }
 
 // checkpointRetryPolicy resolves the caller's CheckpointRetry tuning
-// with the log-owned classifier and telemetry callback.
+// with the log-owned classifier and telemetry callback. The classifier
+// never retries a simulated crash — by the failpoint convention the
+// process is dead at that instant — while everything else (ENOSPC on
+// the temp write, a failed rename) is retryable because a failed
+// attempt leaves only an invisible temp file behind. Once attempts are
+// exhausted the cadence is the outer fallback.
 func (l *Log) checkpointRetryPolicy() retry.Policy {
 	p := l.opts.CheckpointRetry
 	p.Retryable = func(err error) bool { return !errors.Is(err, failpoint.ErrCrash) }
@@ -624,24 +683,21 @@ func (l *Log) gc() error {
 }
 
 // Close syncs and closes the current segment. The durable state stays
-// resumable; Close only ends this process's append session. An async
-// checkpoint still in flight is awaited first; its failure is reported
-// but never blocks the close.
+// resumable; Close only ends this process's append session. A
+// write-behind checkpoint still in flight is awaited first; its failure
+// is reported but never blocks the close.
 func (l *Log) Close() error {
-	asyncErr := l.AsyncBarrier()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return asyncErr
+	err := l.settleCheckpoint(true)
+	if l.closed || l.f == nil {
+		l.closed = true
+		return err
 	}
 	l.closed = true
-	if l.f == nil {
-		return asyncErr
-	}
 	// Sync whenever the log is healthy: under NoSync this is the one
 	// place the documented "durable at Close" promise is kept (with
 	// per-append syncs it is a cheap no-op).
-	err := asyncErr
 	if l.poisoned == nil {
 		if serr := l.f.Sync(); err == nil && serr != nil {
 			err = serr

@@ -114,6 +114,9 @@ func TestCheckpointRestoreAcrossKinds(t *testing.T) {
 				t.Fatalf("batch %d: %v", i, err)
 			}
 		}
+		if err := st.Log.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
 		return fingerprint(t, st.Summarizer)
 	}
 	want := run(neighbor.KindDense, neighbor.KindDense)

@@ -87,6 +87,8 @@ func TestNoSpaceMatrix(t *testing.T) {
 			if injected == nil {
 				t.Fatal("armed ENOSPC failpoint never fired")
 			}
+			// No write-behind checkpoint may race the resume below.
+			_ = l.WaitCheckpoint()
 
 			if tc.fatal {
 				if !errors.Is(injected, failpoint.ErrNoSpace) {
@@ -133,6 +135,9 @@ func TestNoSpaceMatrix(t *testing.T) {
 			}
 			if got := fingerprint(t, st.Summarizer); !bytes.Equal(got, want) {
 				t.Fatal("recovered run differs from uninterrupted run")
+			}
+			if err := st.Log.Close(); err != nil {
+				t.Fatalf("close: %v", err)
 			}
 		})
 	}
@@ -198,7 +203,7 @@ func TestCheckpointRetryNeverRetriesCrash(t *testing.T) {
 	opts.Failpoints = reg
 	walOpts := Options{Dir: dir, CheckpointEvery: 2, Failpoints: reg}
 	walOpts.CheckpointRetry = retry.Policy{MaxAttempts: 5, Seed: 11, Sleep: noSleep}
-	s, _, err := New(db, opts, walOpts)
+	s, l, err := New(db, opts, walOpts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -215,10 +220,61 @@ func TestCheckpointRetryNeverRetriesCrash(t *testing.T) {
 			break
 		}
 	}
+	if killErr == nil {
+		killErr = l.WaitCheckpoint() // the crashed write-behind checkpoint
+	}
 	if !errors.Is(killErr, failpoint.ErrCrash) {
 		t.Fatalf("armed crash never fired (err=%v)", killErr)
 	}
 	if got := reg.Hits(FailCkptWrite) - before; got != 1 {
 		t.Fatalf("crashed checkpoint write evaluated %d times, want exactly 1 (no retry)", got)
+	}
+}
+
+// TestAsyncCheckpointRetryAbsorbsFault proves the write-behind writer
+// uses the same retry engine as an explicit checkpoint: a single injected
+// rename failure on a cadence checkpoint is re-attempted in place on the
+// writer goroutine, no error ever surfaces to the ingest loop or Close,
+// the retry is counted, and the final state matches the uninterrupted
+// run bit-for-bit.
+func TestAsyncCheckpointRetryAbsorbsFault(t *testing.T) {
+	f := makeFixture(t, 400, 8)
+	walBase := Options{CheckpointEvery: 2, KeepCheckpoints: 2}
+	want := runAll(t, f, t.TempDir(), walBase)
+
+	db := f.initial.Clone()
+	reg := failpoint.New(7)
+	sink := telemetry.NewSink()
+	opts := coreOpts()
+	opts.Failpoints = reg
+	walOpts := walBase.withDir(t.TempDir())
+	walOpts.Failpoints = reg
+	walOpts.Telemetry = sink
+	walOpts.CheckpointRetry = retry.Policy{MaxAttempts: 3, Seed: 11, Sleep: noSleep}
+	s, l, err := New(db, opts, walOpts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	reg.ArmError(FailCkptRename, 1, nil)
+	for i, b := range f.batches {
+		ab, err := applyToDB(db, b)
+		if err != nil {
+			t.Fatalf("batch %d apply: %v", i, err)
+		}
+		if _, err := s.ApplyBatchContext(context.Background(), ab); err != nil {
+			t.Fatalf("batch %d surfaced %v despite retry policy", i, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close surfaced %v despite retry policy", err)
+	}
+	if got := reg.Hits(FailCkptRename); got < 2 {
+		t.Fatalf("rename evaluated %d times, want a retry", got)
+	}
+	if got := sink.Metrics.Counter(telemetry.MetricWALCheckpointRetries).Value(); got != 1 {
+		t.Fatalf("wal.checkpoint_retries = %d, want 1", got)
+	}
+	if got := fingerprint(t, s); !bytes.Equal(got, want) {
+		t.Fatal("retried run differs from uninterrupted run")
 	}
 }

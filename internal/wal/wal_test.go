@@ -230,7 +230,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	for _, killAt := range []int{0, 1, 4, 7} {
 		dir := t.TempDir()
 		db := f.initial.Clone()
-		s, _, err := New(db, coreOpts(), Options{Dir: dir, CheckpointEvery: 3})
+		s, l, err := New(db, coreOpts(), Options{Dir: dir, CheckpointEvery: 3})
 		if err != nil {
 			t.Fatalf("kill@%d New: %v", killAt, err)
 		}
@@ -240,7 +240,11 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 				t.Fatalf("kill@%d batch %d: %v", killAt, i, err)
 			}
 		}
-		// Simulated kill: the log is simply abandoned, never Closed.
+		// Simulated kill: the log is abandoned, never Closed, once its
+		// write-behind checkpoint (if any) is no longer being written.
+		if err := l.WaitCheckpoint(); err != nil {
+			t.Fatalf("kill@%d checkpoint: %v", killAt, err)
+		}
 		sink := telemetry.NewSink()
 		st, err := Resume(coreOpts(), Options{Dir: dir, CheckpointEvery: 3, Telemetry: sink})
 		if err != nil {
@@ -260,6 +264,9 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		}
 		if got := fingerprint(t, st.Summarizer); !bytes.Equal(got, want) {
 			t.Fatalf("kill@%d: recovered state differs from uninterrupted run", killAt)
+		}
+		if err := st.Log.Close(); err != nil {
+			t.Fatalf("kill@%d close: %v", killAt, err)
 		}
 	}
 }
@@ -440,8 +447,9 @@ func TestErrorInjectionWithoutBytesKeepsLogAlive(t *testing.T) {
 }
 
 // TestCheckpointFailureDoesNotPoison arms a rename failure on the first
-// automatic checkpoint: the apply reports the error but the log stays
-// healthy and the next checkpoint succeeds.
+// automatic checkpoint: the write-behind failure is reported at the next
+// cadence point, the log stays healthy, and the checkpoint after that
+// succeeds.
 func TestCheckpointFailureDoesNotPoison(t *testing.T) {
 	f := makeFixture(t, 300, 3)
 	reg := failpoint.New(1)
@@ -452,15 +460,22 @@ func TestCheckpointFailureDoesNotPoison(t *testing.T) {
 	}
 	reg.ArmError(FailCkptRename, 1, nil)
 	applied, _ := applyToDB(db, f.batches[0])
+	if _, err := s.ApplyBatchContext(context.Background(), applied); err != nil {
+		t.Fatalf("first batch: %v", err)
+	}
+	applied, _ = applyToDB(db, f.batches[1])
 	if _, err := s.ApplyBatchContext(context.Background(), applied); !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("want injected checkpoint error, got %v", err)
+		t.Fatalf("want injected checkpoint error at the next cadence point, got %v", err)
 	}
 	if l.Poisoned() != nil {
 		t.Fatalf("checkpoint failure poisoned the log: %v", l.Poisoned())
 	}
-	applied, _ = applyToDB(db, f.batches[1])
+	applied, _ = applyToDB(db, f.batches[2])
 	if _, err := s.ApplyBatchContext(context.Background(), applied); err != nil {
 		t.Fatalf("next batch: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("retried checkpoint: %v", err)
 	}
 }
 
@@ -667,5 +682,87 @@ func TestListStateIgnoresForeignFiles(t *testing.T) {
 	}
 	if !strings.HasSuffix(segs[0].path, "wal-0000000000000004.log") {
 		t.Fatalf("seg path %q", segs[0].path)
+	}
+}
+
+// TestWriteBehindCheckpointsNeverCoalesce checkpoints after every batch,
+// so each cadence point finds the previous write-behind checkpoint
+// still young: every one must wait for its predecessor and be written
+// itself — one checkpoint per batch plus the initial one, the newest
+// covering the whole run.
+func TestWriteBehindCheckpointsNeverCoalesce(t *testing.T) {
+	f := makeFixture(t, 300, 6)
+	dir := t.TempDir()
+	sink := telemetry.NewSink()
+	db := f.initial.Clone()
+	s, l, err := New(db, coreOpts(), Options{Dir: dir, CheckpointEvery: 1, KeepCheckpoints: 2, Telemetry: sink})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for i, b := range f.batches {
+		applied, _ := applyToDB(db, b)
+		if _, err := s.ApplyBatchContext(context.Background(), applied); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got, want := sink.Metrics.Counter(telemetry.MetricWALCheckpoints).Value(), uint64(len(f.batches)+1); got != want {
+		t.Fatalf("%d checkpoints written, want %d", got, want)
+	}
+	ckpts, _, err := listState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ckpts); n == 0 || ckpts[n-1].ordinal != uint64(len(f.batches)) {
+		t.Fatalf("newest checkpoint %v, want ordinal %d", ckpts, len(f.batches))
+	}
+}
+
+// TestCheckpointSupersedesFailedWriteBehind pins what an explicit
+// Checkpoint (a drain's final checkpoint) does with a write-behind
+// checkpoint that failed: a retryable failure is superseded — the
+// explicit checkpoint is written and a resume replays nothing — while a
+// simulated crash is returned, fail-stop.
+func TestCheckpointSupersedesFailedWriteBehind(t *testing.T) {
+	f := makeFixture(t, 300, 1)
+	for _, crash := range []bool{false, true} {
+		dir := t.TempDir()
+		reg := failpoint.New(1)
+		db := f.initial.Clone()
+		s, l, err := New(db, coreOpts(), Options{Dir: dir, CheckpointEvery: 1, Failpoints: reg})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if crash {
+			reg.ArmCrash(FailCkptRename, 1)
+		} else {
+			reg.ArmError(FailCkptRename, 1, nil)
+		}
+		applied, _ := applyToDB(db, f.batches[0])
+		if _, err := s.ApplyBatchContext(context.Background(), applied); err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		err = l.Checkpoint(s)
+		if crash {
+			if !errors.Is(err, failpoint.ErrCrash) {
+				t.Fatalf("crashed write-behind checkpoint: Checkpoint returned %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Checkpoint after a failed write-behind checkpoint: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		st, err := Resume(coreOpts(), Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		if st.Batches != 1 || st.Replayed != 0 {
+			t.Fatalf("resumed at %d with %d replayed, want 1 and 0", st.Batches, st.Replayed)
+		}
 	}
 }
