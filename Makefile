@@ -49,12 +49,12 @@ microbench:
 # Fuzz smoke: ten seconds per target (Go allows one -fuzz pattern per
 # invocation, hence one line each). Covers the bubble codec, the
 # codec+auditor composition, the CSV reader, the telemetry auditor,
-# snapshot parser and event codec (DESIGN.md §8), the neighbor-index
-# differential machine (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
+# snapshot parser and event codec (DESIGN.md §8), the seed distance
+# matrix oracle (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
 # and bubbled's JSON ingest surface (DESIGN.md §15).
 FUZZTIME ?= 10s
 audit: vet race
-	$(GO) test ./internal/neighbor -run='^$$' -fuzz='^FuzzNeighborIndex$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzSeedMatrix$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoadAudit$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)

@@ -28,7 +28,6 @@ import (
 
 	"incbubbles/internal/cli"
 	"incbubbles/internal/experiments"
-	"incbubbles/internal/neighbor"
 	"incbubbles/internal/telemetry"
 	"incbubbles/internal/trace"
 )
@@ -49,7 +48,6 @@ func main() {
 		datasets   = flag.String("datasets", "", "comma-separated Table 1 dataset names (default: all eleven)")
 		everyBatch = flag.Bool("evalEveryBatch", false, "average Table 1 quality over every batch instead of final state")
 		workers    = flag.Int("workers", 0, "concurrent repetitions (0 = GOMAXPROCS)")
-		neighborF  = flag.String("neighbor", "dense", "seed-neighbor index: dense | fastpair (results identical; fastpair computes fewer distances at large -bubbles)")
 		audit      = flag.Bool("audit", false, "validate summary invariants after every batch; any violation aborts the run")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/telemetry, /debug/events, /debug/trace and /debug/pprof on this address while running")
 		walDir     = flag.String("wal-dir", "", "recovery experiment: host its WAL/checkpoint directories here (default: temp)")
@@ -59,12 +57,6 @@ func main() {
 		eventsCap  = flag.Int("events-cap", 0, "telemetry event ring capacity (0 = default)")
 	)
 	flag.Parse()
-
-	neighborKind, err := neighbor.ParseKind(*neighborF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "incbench:", err)
-		os.Exit(2)
-	}
 
 	// SIGINT/SIGTERM cancel the run at the next batch boundary; durable
 	// state (the recovery experiment's WAL) stays resumable by design.
@@ -100,7 +92,6 @@ func main() {
 			Seed:           *seed,
 			EvalEveryBatch: *everyBatch,
 			Workers:        *workers,
-			Neighbor:       neighborKind,
 			Audit:          *audit,
 			Telemetry:      sink,
 			Tracer:         tracer,
@@ -111,7 +102,7 @@ func main() {
 		WALDir:          *walDir,
 		CheckpointEvery: *ckptEvery,
 	}
-	err = cli.RunIncbench(ctx, opts, os.Stdout)
+	err := cli.RunIncbench(ctx, opts, os.Stdout)
 	// Export whatever spans accumulated even when the run failed: the
 	// trace is most useful exactly then.
 	if xerr := cli.ExportTrace(tracer, *traceOut, os.Stderr); xerr != nil {

@@ -21,7 +21,6 @@ import (
 	"syscall"
 
 	"incbubbles/internal/cli"
-	"incbubbles/internal/neighbor"
 	"incbubbles/internal/telemetry"
 	"incbubbles/internal/trace"
 )
@@ -33,7 +32,6 @@ func main() {
 		minPts    = flag.Int("minpts", 10, "OPTICS MinPts")
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "assignment worker pool (0 = GOMAXPROCS; results identical for any value)")
-		neighborF = flag.String("neighbor", "dense", "seed-neighbor index: dense | fastpair (results identical; fastpair computes fewer distances at large -bubbles)")
 		plotFlag  = flag.Bool("plot", false, "print the reachability plot")
 		assign    = flag.Bool("assignments", false, "print id,cluster for every point")
 		pngOut    = flag.String("png", "", "write a reachability-plot PNG to this path")
@@ -45,12 +43,6 @@ func main() {
 		eventsCap = flag.Int("events-cap", 0, "telemetry event ring capacity (0 = default)")
 	)
 	flag.Parse()
-
-	neighborKind, err := neighbor.ParseKind(*neighborF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "quickcluster:", err)
-		os.Exit(2)
-	}
 
 	// SIGINT/SIGTERM cancel the summarize phase; a durable summary that
 	// reached its initial checkpoint stays resumable via -wal-dir.
@@ -88,7 +80,6 @@ func main() {
 		MinPts:          *minPts,
 		Seed:            *seed,
 		Workers:         *workers,
-		Neighbor:        neighborKind,
 		Plot:            *plotFlag,
 		Assignments:     *assign,
 		PNGOut:          *pngOut,
@@ -97,7 +88,7 @@ func main() {
 		Telemetry:       sink,
 		Tracer:          tracer,
 	}
-	err = cli.RunQuickcluster(ctx, r, opts, os.Stdout, os.Stderr)
+	err := cli.RunQuickcluster(ctx, r, opts, os.Stdout, os.Stderr)
 	// Export whatever spans accumulated even when the run failed: the
 	// trace is most useful exactly then.
 	if xerr := cli.ExportTrace(tracer, *traceOut, os.Stderr); xerr != nil {

@@ -200,7 +200,8 @@ func AxisHistogram(set *bubble.Set, axis, bins int, lo, hi float64, samples int,
 		if x < lo || x >= hi {
 			return
 		}
-		out[int((x-lo)/width)] += mass
+		// (x-lo)/width rounds up to bins for the last floats below hi.
+		out[min(int((x-lo)/width), bins-1)] += mass
 	}
 	for _, b := range set.Bubbles() {
 		if b.N() == 0 {

@@ -175,6 +175,31 @@ func TestAxisHistogram(t *testing.T) {
 	if _, err := AxisHistogram(set, 0, 10, 5, 5, 8, 1); err == nil {
 		t.Error("empty range accepted")
 	}
+	// The last float below hi divides out to index bins, not bins-1, for
+	// these binnings; a zero-extent bubble there must land in the last bin.
+	edge, err := bubble.NewSet(1, bubble.Options{TrackMembers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := math.Nextafter(1, 0)
+	if _, err := edge.AddBubble(vecmath.Point{x}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := edge.AssignClosest(1, vecmath.Point{x}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		lo   float64
+		bins int
+	}{{0, 3}, {-1, 1}, {-1, 2}, {-1, 3}, {-1, 4}} {
+		hist, err := AxisHistogram(edge, 0, c.bins, c.lo, 1, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hist[c.bins-1] != 1 {
+			t.Errorf("lo=%g bins=%d: histogram %v, want the point in the last bin", c.lo, c.bins, hist)
+		}
+	}
 }
 
 func TestBallGeometryHelpers(t *testing.T) {

@@ -109,10 +109,10 @@ type Report struct {
 // allocs_per_op figures: it is enforced statically, not just measured, so
 // a regression shows up in `make lint` before it shows up here.
 const hotpathNote = "hot-path guarantee: every //lint:hotpath function " +
-	"(vecmath kernels, distance counters, neighbor Distance/Peek/Row/" +
-	"ClosestPair, the Figure 2 closest-seed search) is proven free of " +
-	"heap allocation by the hotpathalloc analyzer; residual allocs_per_op " +
-	"comes from batch bookkeeping outside the annotated hot path"
+	"(vecmath kernels, distance counters, the Figure 2 closest-seed " +
+	"search) is proven free of heap allocation by the hotpathalloc " +
+	"analyzer; residual allocs_per_op comes from batch bookkeeping " +
+	"outside the annotated hot path"
 
 // Deterministic returns a copy of the report with every machine-dependent
 // field (wall clock, allocator) zeroed, leaving exactly the fields that

@@ -22,9 +22,8 @@ func TestReportShape(t *testing.T) {
 	if rep.Schema != Schema {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	want := []string{"assign", "assign_traced",
-		"maintain", "maintain_fastpair",
-		"mergesplit", "mergesplit_bigk", "mergesplit_bigk_fastpair",
+	want := []string{"assign", "assign_traced", "maintain",
+		"mergesplit", "mergesplit_bigk",
 		"wal_append", "recovery", "optics",
 		"serve_ingest", "serve_ingest_traced"}
 	if len(rep.Benchmarks) != len(want) {
@@ -46,7 +45,7 @@ func TestReportShape(t *testing.T) {
 	}
 	// The maintenance workloads must actually exercise merge/split, or
 	// the suite is not measuring what its name promises.
-	for _, name := range []string{"maintain", "maintain_fastpair", "mergesplit", "mergesplit_bigk", "mergesplit_bigk_fastpair"} {
+	for _, name := range []string{"maintain", "mergesplit", "mergesplit_bigk"} {
 		if !hasPhase(rep, name, "core.merge") || !hasPhase(rep, name, "core.split") {
 			t.Fatalf("%s: no merge/split spans; workload scale too small", name)
 		}
@@ -189,64 +188,6 @@ func TestDiffStructuralChecks(t *testing.T) {
 	badSchema.Schema = "incbubbles-bench/v0"
 	if _, _, err := Diff(base, &badSchema, DiffOptions{}); err == nil {
 		t.Fatal("schema mismatch not rejected")
-	}
-}
-
-// TestFastPairWorkloadsComputeFewer asserts the accounting bound inside
-// the suite itself: each FastPair twin must compute strictly fewer
-// distances per op than its dense counterpart, at any preset — the k
-// values here (25 and 256 bubbles at short scale) are far above the
-// crossover where lazy invalidation starts saving work.
-func TestFastPairWorkloadsComputeFewer(t *testing.T) {
-	rep := runShort(t)
-	byName := map[string]Result{}
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b
-	}
-	for fp, dense := range fastpairPairs {
-		f, ok := byName[fp]
-		d, ok2 := byName[dense]
-		if !ok || !ok2 {
-			t.Fatalf("twin pair %s/%s missing from report", fp, dense)
-		}
-		if f.DistanceComputedPerOp >= d.DistanceComputedPerOp {
-			t.Errorf("%s computed %.4g distances/op, dense twin %s computed %.4g; want strictly fewer",
-				fp, f.DistanceComputedPerOp, dense, d.DistanceComputedPerOp)
-		}
-	}
-}
-
-// TestDiffGatesFastPairVsDense forges a current report where a FastPair
-// workload out-computes its dense twin: the cross-workload gate must flag
-// it even though the twin relationship is invisible to per-benchmark
-// baselines.
-func TestDiffGatesFastPairVsDense(t *testing.T) {
-	base := runShort(t)
-	bad := *base
-	bad.Benchmarks = append([]Result(nil), base.Benchmarks...)
-	var denseVal float64
-	for _, b := range bad.Benchmarks {
-		if b.Name == "maintain" {
-			denseVal = b.DistanceComputedPerOp
-		}
-	}
-	for i := range bad.Benchmarks {
-		if bad.Benchmarks[i].Name == "maintain_fastpair" {
-			bad.Benchmarks[i].DistanceComputedPerOp = denseVal * 1.5
-		}
-	}
-	regs, _, err := Diff(base, &bad, DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range regs {
-		if r.Benchmark == "maintain_fastpair" && r.Metric == "distance_computed_per_op_vs_dense" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fastpair-vs-dense violation not flagged: %v", regs)
 	}
 }
 

@@ -46,16 +46,6 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s %s: %.4g -> %.4g (limit %.4g)", r.Benchmark, r.Metric, r.Base, r.Current, r.Limit)
 }
 
-// fastpairPairs maps each FastPair workload to its dense twin. Beyond the
-// per-benchmark baseline gates, the current report itself must show the
-// lazy index computing no more distances per op than the dense oracle on
-// the same workload — the accounting bound, checked on every diff so a
-// FastPair regression cannot hide behind a regenerated baseline.
-var fastpairPairs = map[string]string{
-	"maintain_fastpair":        "maintain",
-	"mergesplit_bigk_fastpair": "mergesplit_bigk",
-}
-
 // tracedPairs maps each tracing-overhead probe to its untraced twin: the
 // request-tracing path exists to be left on in production, so the traced
 // workload's wall clock must stay within tracedOverheadLimit of the
@@ -111,23 +101,6 @@ func Diff(base, cur *Report, opts DiffOptions) ([]Regression, []string, error) {
 		if b.NsPerOp > 0 && c.NsPerOp < b.NsPerOp*(1-opts.TimeThreshold) {
 			notes = append(notes, fmt.Sprintf("%s ns_per_op improved %.4g -> %.4g; consider re-baselining",
 				b.Name, b.NsPerOp, c.NsPerOp))
-		}
-	}
-	fps := make([]string, 0, len(fastpairPairs))
-	for fp := range fastpairPairs {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	for _, fp := range fps {
-		fpRes, okFP := curByName[fp]
-		denseRes, okDense := curByName[fastpairPairs[fp]]
-		if !okFP || !okDense {
-			continue
-		}
-		if fpRes.DistanceComputedPerOp > denseRes.DistanceComputedPerOp {
-			regs = append(regs, Regression{Benchmark: fp, Metric: "distance_computed_per_op_vs_dense",
-				Base: denseRes.DistanceComputedPerOp, Current: fpRes.DistanceComputedPerOp,
-				Limit: denseRes.DistanceComputedPerOp})
 		}
 	}
 	if cur.Preset == string(PresetFull) {

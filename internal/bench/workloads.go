@@ -14,7 +14,6 @@ import (
 	"incbubbles/internal/dataset"
 	"incbubbles/internal/experiments"
 	"incbubbles/internal/extract"
-	"incbubbles/internal/neighbor"
 	"incbubbles/internal/optics"
 	"incbubbles/internal/server"
 	"incbubbles/internal/stats"
@@ -31,27 +30,21 @@ func workloads() []workload {
 	return []workload{
 		// assign: insert/delete churn with stable clusters — the
 		// assignment pipeline (search + apply) dominates.
-		{name: "assign", setup: summarizerSetup(synth.Random, false)},
+		{name: "assign", setup: summarizerSetup(synth.Random, false, summarizerScale)},
 		// assign_traced: the same workload timed against an enabled
 		// default-capacity tracer — the tracing overhead probe. Its
 		// deterministic metrics are identical to assign's by construction.
-		{name: "assign_traced", traceTimed: true, setup: summarizerSetup(synth.Random, false)},
+		{name: "assign_traced", traceTimed: true, setup: summarizerSetup(synth.Random, false, summarizerScale)},
 		// maintain: the §4 complex dynamics — appearing and disappearing
 		// clusters drive classify/merge/split maintenance rounds.
-		{name: "maintain", setup: summarizerSetup(synth.Complex, false)},
-		// maintain_fastpair: the same workload under the lazy FastPair
-		// neighbor index. Deterministic summaries are identical to
-		// maintain's by construction; only the distance accounting may
-		// differ, and benchdiff gates it to never exceed the dense twin.
-		{name: "maintain_fastpair", setup: summarizerSetupKind(synth.Complex, false, neighbor.KindFastPair, summarizerScale)},
+		{name: "maintain", setup: summarizerSetup(synth.Complex, false, summarizerScale)},
 		// mergesplit: extreme-appear dynamics at a high update fraction —
 		// a merge/split storm.
-		{name: "mergesplit", setup: summarizerSetup(synth.ExtremeAppear, true)},
-		// mergesplit_bigk / _fastpair: the same storm at large k, where
-		// dense row refreshes are O(k) per reseed and the lazy index's
-		// deferred invalidation pays off — the paper-scale k probe.
-		{name: "mergesplit_bigk", setup: summarizerSetupKind(synth.ExtremeAppear, true, neighbor.KindDense, bigkScale)},
-		{name: "mergesplit_bigk_fastpair", setup: summarizerSetupKind(synth.ExtremeAppear, true, neighbor.KindFastPair, bigkScale)},
+		{name: "mergesplit", setup: summarizerSetup(synth.ExtremeAppear, true, summarizerScale)},
+		// mergesplit_bigk: the same storm at large k, where every reseed
+		// refreshes an O(k) row of the seed distance matrix — the large-k
+		// probe.
+		{name: "mergesplit_bigk", setup: summarizerSetup(synth.ExtremeAppear, true, bigkScale)},
 		// wal_append: the durable batch path — WAL framing, append,
 		// fsync, cadence checkpoints, clean close.
 		{name: "wal_append", setup: walAppendSetup},
@@ -135,26 +128,20 @@ func workloadBatches(kind synth.Kind, sz scale, seed int64) (*dataset.DB, []data
 	return initial, batches, nil
 }
 
-func coreOptions(sz scale, cfg Config, tracer *trace.Tracer, nk neighbor.Kind) core.Options {
+func coreOptions(sz scale, cfg Config, tracer *trace.Tracer) core.Options {
 	return core.Options{
 		NumBubbles:            sz.bubbles,
 		UseTriangleInequality: true,
 		Seed:                  cfg.Seed + 1,
 		Tracer:                tracer,
-		Neighbor:              nk,
 		Config:                core.Config{Workers: 1},
 	}
 }
 
 // summarizerSetup builds an in-memory summarizer workload over the given
-// dynamics; storm raises the update fraction to force rebuild storms.
-func summarizerSetup(kind synth.Kind, storm bool) func(Config, string, *trace.Tracer) (func() error, int, error) {
-	return summarizerSetupKind(kind, storm, neighbor.KindDense, summarizerScale)
-}
-
-// summarizerSetupKind is summarizerSetup with an explicit neighbor index
-// kind and workload scale — the FastPair twins and the big-k probes.
-func summarizerSetupKind(kind synth.Kind, storm bool, nk neighbor.Kind, scaleOf func(Preset) scale) func(Config, string, *trace.Tracer) (func() error, int, error) {
+// dynamics at the scale scaleOf picks for the preset; storm raises the
+// update fraction to force rebuild storms.
+func summarizerSetup(kind synth.Kind, storm bool, scaleOf func(Preset) scale) func(Config, string, *trace.Tracer) (func() error, int, error) {
 	return func(cfg Config, _ string, tracer *trace.Tracer) (func() error, int, error) {
 		sz := scaleOf(cfg.Preset)
 		if storm {
@@ -164,7 +151,7 @@ func summarizerSetupKind(kind synth.Kind, storm bool, nk neighbor.Kind, scaleOf 
 		if err != nil {
 			return nil, 0, err
 		}
-		s, err := core.New(db, coreOptions(sz, cfg, tracer, nk))
+		s, err := core.New(db, coreOptions(sz, cfg, tracer))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -200,7 +187,7 @@ func walAppendSetup(cfg Config, scratch string, tracer *trace.Tracer) (func() er
 	}
 	// The initial checkpoint is written here, untimed; the measured
 	// section covers appends, fsyncs, cadence checkpoints and the close.
-	s, l, err := wal.New(db, coreOptions(sz, cfg, tracer, neighbor.KindDense),
+	s, l, err := wal.New(db, coreOptions(sz, cfg, tracer),
 		wal.Options{Dir: dir, CheckpointEvery: 2, Tracer: tracer})
 	if err != nil {
 		return nil, 0, err
@@ -234,7 +221,7 @@ func recoverySetup(cfg Config, scratch string, tracer *trace.Tracer) (func() err
 	// so recovery must replay every batch from the initial checkpoint.
 	// The log is abandoned open, exactly as a crash leaves it.
 	walOpts := wal.Options{Dir: dir, CheckpointEvery: len(batches) + 1}
-	s, _, err := wal.New(db, coreOptions(sz, cfg, nil, neighbor.KindDense), walOpts)
+	s, _, err := wal.New(db, coreOptions(sz, cfg, nil), walOpts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -250,7 +237,7 @@ func recoverySetup(cfg Config, scratch string, tracer *trace.Tracer) (func() err
 	exec := func() error {
 		resumeOpts := walOpts
 		resumeOpts.Tracer = tracer
-		st, err := wal.Resume(coreOptions(sz, cfg, tracer, neighbor.KindDense), resumeOpts)
+		st, err := wal.Resume(coreOptions(sz, cfg, tracer), resumeOpts)
 		if err != nil {
 			return err
 		}

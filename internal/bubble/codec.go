@@ -64,14 +64,13 @@ func (s *Set) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reconstructs a Set saved with Save. The counter, RNG and neighbor
-// index kind are taken from opts (Counter/RNG/Neighbor are the only
-// Options fields consulted; structure flags come from the snapshot
-// itself — snapshots carry no index state, so a snapshot saved under one
-// index kind restores under any other bit-identically). A snapshot saved
-// without member IDs restores as a statistics-only set: populated
-// bubbles have no reconstructible ownership, which the set records
-// (OwnershipComplete reports false) so its invariants stay checkable.
+// Load reconstructs a Set saved with Save. The counter and RNG are taken
+// from opts (Counter/RNG are the only Options fields consulted; structure
+// flags come from the snapshot itself, and the seed distance matrix is
+// recomputed from the restored seeds). A snapshot saved without member
+// IDs restores as a statistics-only set: populated bubbles have no
+// reconstructible ownership, which the set records (OwnershipComplete
+// reports false) so its invariants stay checkable.
 func Load(r io.Reader, opts Options) (*Set, error) {
 	var snap snapshot
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&snap); err != nil {
@@ -88,7 +87,6 @@ func Load(r io.Reader, opts Options) (*Set, error) {
 		TrackMembers:          snap.Members,
 		Counter:               opts.Counter,
 		RNG:                   opts.RNG,
-		Neighbor:              opts.Neighbor,
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"incbubbles/internal/dataset"
-	"incbubbles/internal/neighbor"
 	"incbubbles/internal/stats"
 	"incbubbles/internal/trace"
 	"incbubbles/internal/vecmath"
@@ -32,13 +31,6 @@ type Options struct {
 	// fan-out. ≤0 selects GOMAXPROCS; 1 forces the serial path. The built
 	// set is bit-identical for every setting.
 	Workers int
-	// Neighbor selects the seed-neighbor index implementation backing
-	// Lemma 1 pruning and merge-candidate queries: neighbor.KindDense
-	// (the default, and the reference oracle) or neighbor.KindFastPair.
-	// Ignored when UseTriangleInequality is false — no index is kept at
-	// all. Every kind yields bit-identical assignments and summaries;
-	// only the distance-computation accounting differs.
-	Neighbor neighbor.Kind
 	// Tracer records Build's seed/search/absorb spans with their
 	// distance-calc deltas (internal/trace). Optional; nil records
 	// nothing. Purely observational — it never perturbs the build.
@@ -46,17 +38,17 @@ type Options struct {
 }
 
 // Set is a collection of data bubbles over one database: the bubbles, the
-// point→bubble ownership map, and the seed-neighbor index that powers
+// point→bubble ownership map, and the seed distance matrix that powers
 // triangle-inequality pruning (nil when pruning is disabled).
 type Set struct {
-	dim     int
-	opts    Options
-	bubbles []*Bubble
-	owner   map[dataset.PointID]int
-	nidx    neighbor.Index
-	counter *vecmath.Counter
-	rng     *stats.RNG
-	scratch []int // reusable candidate buffer for closestSeed
+	dim      int
+	opts     Options
+	bubbles  []*Bubble
+	owner    map[dataset.PointID]int
+	seedDist *seedMatrix
+	counter  *vecmath.Counter
+	rng      *stats.RNG
+	scratch  []int // reusable candidate buffer for closestSeed
 	// statsOnly marks a set restored from a snapshot that carried no
 	// member IDs: bubble counts are trusted but the ownership map covers
 	// only points assigned after the restore, so it is a subset of — not
@@ -91,11 +83,7 @@ func NewSet(dim int, opts Options) (*Set, error) {
 		s.rng = stats.NewRNG(1)
 	}
 	if opts.UseTriangleInequality {
-		nidx, err := neighbor.New(opts.Neighbor, s.counter)
-		if err != nil {
-			return nil, err
-		}
-		s.nidx = nidx
+		s.seedDist = &seedMatrix{counter: s.counter}
 	}
 	return s, nil
 }
@@ -120,9 +108,8 @@ func (s *Set) Bubble(i int) *Bubble { return s.bubbles[i] }
 // Bubbles returns the underlying bubble slice (read-only).
 func (s *Set) Bubbles() []*Bubble { return s.bubbles }
 
-// AddBubble appends an empty bubble seeded at p and returns its index.
-// The seed-neighbor index is extended (the dense kind computes the new
-// row eagerly; fastpair defers until queried).
+// AddBubble appends an empty bubble seeded at p and returns its index,
+// extending the seed distance matrix by the new seed's row and column.
 func (s *Set) AddBubble(p vecmath.Point) (int, error) {
 	if p.Dim() != s.dim {
 		return 0, fmt.Errorf("bubble: seed dimensionality %d want %d", p.Dim(), s.dim)
@@ -130,8 +117,8 @@ func (s *Set) AddBubble(p vecmath.Point) (int, error) {
 	b := newBubble(s.dim, p, s.opts.TrackMembers)
 	idx := len(s.bubbles)
 	s.bubbles = append(s.bubbles, b)
-	if s.nidx != nil {
-		s.nidx.Add(b.seed)
+	if s.seedDist != nil {
+		s.seedDist.add(s.bubbles)
 	}
 	return idx, nil
 }
@@ -167,46 +154,21 @@ func (s *Set) ResetBubble(i int, p vecmath.Point) error {
 }
 
 func (s *Set) refreshSeedRow(i int) {
-	if s.nidx == nil {
-		return
+	if s.seedDist != nil {
+		s.seedDist.update(s.bubbles, i)
 	}
-	s.nidx.Update(i, s.bubbles[i].seed)
 }
 
-// SeedDistance returns the distance between the seeds of bubbles i and j
-// (0 when pruning is disabled, since no index is kept). The fastpair
-// index may compute — and count — the value lazily on first use.
+// SeedDistance returns the cached distance between the seeds of bubbles i
+// and j (0 when pruning is disabled, since no matrix is kept). It only
+// looks the entry up and never computes, so observers such as telemetry
+// audits can read it without perturbing the Figure 10/11 accounting.
 func (s *Set) SeedDistance(i, j int) float64 {
-	if s.nidx == nil {
+	if s.seedDist == nil {
 		return 0
 	}
-	return s.nidx.Distance(i, j)
+	return s.seedDist.dist[i][j]
 }
-
-// PeekSeedDistance returns the currently cached seed distance without
-// ever computing one: ok is false when pruning is disabled or the index
-// holds no current value for the pair. Observers (telemetry audits) use
-// it so inspection never perturbs the Figure 10/11 accounting.
-func (s *Set) PeekSeedDistance(i, j int) (float64, bool) {
-	if s.nidx == nil {
-		return 0, false
-	}
-	return s.nidx.Peek(i, j)
-}
-
-// NeighborKind reports which seed-neighbor index implementation the set
-// runs on (KindDense when pruning is disabled — the flag that matters
-// then is UseTriangleInequality).
-func (s *Set) NeighborKind() neighbor.Kind {
-	if s.nidx == nil {
-		return neighbor.KindDense
-	}
-	return s.nidx.Kind()
-}
-
-// NeighborIndex exposes the underlying index (nil when pruning is
-// disabled) for tests and diagnostics. Callers must not mutate it.
-func (s *Set) NeighborIndex() neighbor.Index { return s.nidx }
 
 // Owner returns the index of the bubble compressing point id.
 func (s *Set) Owner(id dataset.PointID) (int, bool) {
@@ -290,31 +252,18 @@ func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *
 	sc, cands = pickCand(rng, cands)
 	minDist := sink.Distance(p, s.bubbles[sc].seed)
 	pruned := 0
-	// The dense index exposes its rows directly; the prune loop scans the
-	// slice to keep the hot path free of an interface call per candidate.
-	denseIdx, _ := s.nidx.(*neighbor.Dense)
 	for len(cands) > 0 {
-		// Prune everything Lemma 1 rules out with the current candidate.
+		// Prune everything Lemma 1 rules out with the current candidate,
+		// scanning its row of the seed distance matrix.
+		row := s.seedDist.dist[sc]
 		kept := cands[:0]
-		if denseIdx != nil {
-			row := denseIdx.Row(sc)
-			for _, j := range cands {
-				if row[j] >= 2*minDist {
-					pruned++
-					continue
-				}
-				//lint:allow hotpathalloc kept filters cands in place over the same backing array and never outgrows it
-				kept = append(kept, j)
+		for _, j := range cands {
+			if row[j] >= 2*minDist {
+				pruned++
+				continue
 			}
-		} else {
-			for _, j := range cands {
-				if s.nidx.Distance(sc, j) >= 2*minDist {
-					pruned++
-					continue
-				}
-				//lint:allow hotpathalloc kept filters cands in place over the same backing array and never outgrows it
-				kept = append(kept, j)
-			}
+			//lint:allow hotpathalloc kept filters cands in place over the same backing array and never outgrows it
+			kept = append(kept, j)
 		}
 		cands = kept
 		// Probe unpruned seeds until one improves on the candidate. An
@@ -450,9 +399,9 @@ func (s *Set) RemoveBubble(i int) error {
 		}
 	}
 	s.bubbles = s.bubbles[:last]
-	if s.nidx != nil {
-		// The index mirrors the same swap-remove: last takes slot i.
-		s.nidx.Remove(i)
+	if s.seedDist != nil {
+		// The matrix mirrors the same swap-remove: last takes slot i.
+		s.seedDist.remove(i)
 	}
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"incbubbles/internal/dataset"
 	"incbubbles/internal/eval"
 	"incbubbles/internal/extract"
-	"incbubbles/internal/neighbor"
 	"incbubbles/internal/optics"
 	"incbubbles/internal/plot"
 	"incbubbles/internal/stats"
@@ -28,11 +27,10 @@ type QuickclusterOptions struct {
 	Bubbles     int
 	MinPts      int
 	Seed        int64
-	Workers     int           // assignment/space worker pool (≤0 = GOMAXPROCS)
-	Neighbor    neighbor.Kind // seed-neighbor index (zero value = dense); results identical for any kind
-	Plot        bool          // print the text reachability plot
-	Assignments bool          // print id,cluster rows
-	PNGOut      string        // write a reachability-plot PNG here
+	Workers     int    // assignment/space worker pool (≤0 = GOMAXPROCS)
+	Plot        bool   // print the text reachability plot
+	Assignments bool   // print id,cluster rows
+	PNGOut      string // write a reachability-plot PNG here
 	// WALDir, when non-empty, makes the summary durable: a fresh run
 	// persists the database and built bubbles there (WAL + checkpoint),
 	// and a rerun pointing at the same directory resumes them instead of
@@ -58,7 +56,6 @@ func (opts QuickclusterOptions) coreOptions(numBubbles int, counter *vecmath.Cou
 		Counter:               counter,
 		Telemetry:             opts.Telemetry,
 		Tracer:                opts.Tracer,
-		Neighbor:              opts.Neighbor,
 		Config:                core.Config{Workers: opts.Workers},
 	}
 }
@@ -125,7 +122,6 @@ func RunQuickcluster(ctx context.Context, in io.Reader, opts QuickclusterOptions
 			Workers:               opts.Workers,
 			Counter:               &counter,
 			Tracer:                opts.Tracer,
-			Neighbor:              opts.Neighbor,
 		})
 		if err != nil {
 			return err

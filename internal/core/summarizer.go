@@ -21,7 +21,6 @@ import (
 	"incbubbles/internal/bubble"
 	"incbubbles/internal/dataset"
 	"incbubbles/internal/failpoint"
-	"incbubbles/internal/neighbor"
 	"incbubbles/internal/parallel"
 	"incbubbles/internal/stats"
 	"incbubbles/internal/telemetry"
@@ -283,11 +282,6 @@ type Options struct {
 	// UseTriangleInequality enables §3 pruning (default in the paper's
 	// incremental scheme). Recommended true.
 	UseTriangleInequality bool
-	// Neighbor selects the seed-neighbor index implementation backing
-	// Lemma 1 pruning (neighbor.KindDense when empty). Every kind yields
-	// bit-identical summaries and checkpoint fingerprints; only the
-	// distance-computation accounting differs.
-	Neighbor neighbor.Kind
 	// Counter receives distance-computation accounting. Optional.
 	Counter *vecmath.Counter
 	// Seed drives seed selection and probe order. Default 1.
@@ -337,7 +331,6 @@ func New(db *dataset.DB, opts Options) (*Summarizer, error) {
 		Counter:               opts.Counter,
 		RNG:                   rng,
 		Tracer:                opts.Tracer,
-		Neighbor:              opts.Neighbor,
 	})
 	if err != nil {
 		return nil, err
@@ -363,9 +356,8 @@ func Load(db *dataset.DB, snapshot io.Reader, opts Options, batches, totalRebuil
 	}
 	rng := stats.NewRNG(seed)
 	set, err := bubble.Load(snapshot, bubble.Options{
-		Counter:  opts.Counter,
-		RNG:      rng,
-		Neighbor: opts.Neighbor,
+		Counter: opts.Counter,
+		RNG:     rng,
 	})
 	if err != nil {
 		return nil, err

@@ -40,7 +40,7 @@ func Static(db *dataset.DB, params Params, counter *vecmath.Counter) (map[datase
 	if db.Len() == 0 {
 		return map[dataset.PointID]int{}, nil
 	}
-	ix := newNeighborIndex(db.Dim(), params.Eps)
+	ix := newRangeIndex(db.Dim(), params.Eps)
 	ids := make([]dataset.PointID, 0, db.Len())
 	pts := make(map[dataset.PointID]vecmath.Point, db.Len())
 	db.ForEach(func(r dataset.Record) {

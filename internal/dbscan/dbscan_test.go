@@ -96,7 +96,7 @@ func TestGridAndLinearIndexAgree(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		q := rng.UniformPoint(2, 0, 20)
-		collect := func(ix neighborIndex) map[dataset.PointID]bool {
+		collect := func(ix rangeIndex) map[dataset.PointID]bool {
 			out := map[dataset.PointID]bool{}
 			ix.neighbors(q, func(id dataset.PointID, p vecmath.Point) {
 				if vecmath.Distance(q, p) <= 1.5 {

@@ -24,7 +24,7 @@ type Incremental struct {
 	dim     int
 	counter *vecmath.Counter
 
-	ix       neighborIndex
+	ix       rangeIndex
 	pts      map[dataset.PointID]vecmath.Point
 	nbrCount map[dataset.PointID]int // |N_eps(q)| including q itself
 	coreLbl  map[dataset.PointID]int // labels of core points only
@@ -52,7 +52,7 @@ func NewIncremental(dim int, params Params, counter *vecmath.Counter) (*Incremen
 		params:   params,
 		dim:      dim,
 		counter:  counter,
-		ix:       newNeighborIndex(dim, params.Eps),
+		ix:       newRangeIndex(dim, params.Eps),
 		pts:      make(map[dataset.PointID]vecmath.Point),
 		nbrCount: make(map[dataset.PointID]int),
 		coreLbl:  make(map[dataset.PointID]int),

@@ -15,10 +15,10 @@ import (
 	"incbubbles/internal/vecmath"
 )
 
-// neighborIndex answers ε-range queries over a dynamic point set. A
+// rangeIndex answers ε-range queries over a dynamic point set. A
 // uniform grid with cell width ε serves low dimensionalities; a linear
 // scan covers the rest (3^d cell probes explode with d).
-type neighborIndex interface {
+type rangeIndex interface {
 	insert(id dataset.PointID, p vecmath.Point)
 	remove(id dataset.PointID)
 	// neighbors returns all ids within eps of p (inclusive), p's own id
@@ -31,7 +31,7 @@ type neighborIndex interface {
 // 3^d adjacent cells is cheaper than a linear pass.
 const maxGridDim = 6
 
-func newNeighborIndex(dim int, eps float64) neighborIndex {
+func newRangeIndex(dim int, eps float64) rangeIndex {
 	if dim <= maxGridDim {
 		return newGridIndex(dim, eps)
 	}

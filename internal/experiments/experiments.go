@@ -17,7 +17,6 @@ import (
 
 	"incbubbles/internal/core"
 	"incbubbles/internal/dataset"
-	"incbubbles/internal/neighbor"
 	"incbubbles/internal/synth"
 	"incbubbles/internal/telemetry"
 	"incbubbles/internal/trace"
@@ -46,10 +45,6 @@ type Config struct {
 	// fully independent) and is threaded into each summarizer's batch
 	// assignment pipeline (core.Config.Workers). ≤0 selects GOMAXPROCS.
 	Workers int
-	// Neighbor selects the seed-neighbor index every summarizer maintains
-	// (zero value = dense). Results are identical for any kind; only the
-	// distance accounting differs.
-	Neighbor neighbor.Kind
 	// Audit enables telemetry.Audit invariant checks inside every
 	// maintained summarizer. Where the core degrades gracefully on a
 	// violation, an experiment must not: any violation aborts the run with
@@ -149,7 +144,6 @@ func (c Config) instrument(opts core.Options) core.Options {
 	opts.Telemetry = c.Telemetry
 	opts.Audit = c.Audit
 	opts.Tracer = c.Tracer
-	opts.Neighbor = c.Neighbor
 	return opts
 }
 

@@ -17,6 +17,7 @@ import (
 	"incbubbles/internal/optics"
 	"incbubbles/internal/trace"
 	"incbubbles/internal/vecmath"
+	"incbubbles/internal/wal"
 )
 
 // Machine-readable reason codes carried in error responses, so clients
@@ -66,6 +67,14 @@ type ingestReply struct {
 	FirstID *uint64 `json:"first_id,omitempty"`
 	Warning string  `json:"warning,omitempty"`
 }
+
+// Caps on the client-chosen effort of the approx reads: bins sizes the
+// histogram's allocation and samples drives a per-bubble sampling loop,
+// so a value above its cap is a rejected request, not work.
+const (
+	maxHistogramBins = 1 << 12
+	maxApproxSamples = 1 << 14
+)
 
 type rangeCountBody struct {
 	Lo      []float64 `json:"lo"`
@@ -364,7 +373,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 func (s *Server) writeIngestResult(w http.ResponseWriter, t *tenant, res ingestResult) {
 	if res.err != nil {
 		switch {
-		case errors.Is(res.err, ErrBadBatch):
+		case errors.Is(res.err, ErrBadBatch), errors.Is(res.err, wal.ErrRecordTooLarge):
+			// An oversized batch is refused before any write, so it is a
+			// client error like a malformed one: nothing was applied.
 			writeError(w, http.StatusBadRequest, ReasonBadRequest, res.err)
 		case errors.Is(res.err, ErrReadOnly):
 			s.writeReadOnly(w, t, res.err)
@@ -458,11 +469,16 @@ func (s *Server) handleRangeCount(w http.ResponseWriter, r *http.Request, t *ten
 		writeError(w, http.StatusBadRequest, ReasonBadRequest, err)
 		return
 	}
-	rs := t.snapshot()
 	samples := body.Samples
 	if samples <= 0 {
 		samples = 1024
 	}
+	if samples > maxApproxSamples {
+		writeError(w, http.StatusBadRequest, ReasonBadRequest,
+			fmt.Errorf("server: samples %d above the cap %d", samples, maxApproxSamples))
+		return
+	}
+	rs := t.snapshot()
 	seed := body.Seed
 	if seed == 0 {
 		seed = t.seed
@@ -487,6 +503,11 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tena
 	}
 	if samples <= 0 {
 		samples = 1024
+	}
+	if bins > maxHistogramBins || samples > maxApproxSamples {
+		writeError(w, http.StatusBadRequest, ReasonBadRequest,
+			fmt.Errorf("server: bins %d or samples %d above the caps %d and %d", bins, samples, maxHistogramBins, maxApproxSamples))
+		return
 	}
 	seed, _ := strconv.ParseInt(q.Get("seed"), 10, 64)
 	if seed == 0 {

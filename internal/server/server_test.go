@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -284,6 +285,22 @@ func TestTenantLifecycleAndReads(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("histogram: %d", resp.StatusCode)
 			}
+			// Client-chosen bins and samples above their caps are rejected
+			// requests, before any allocation or sampling.
+			for _, over := range []string{
+				fmt.Sprintf("bins=%d", maxHistogramBins+1),
+				fmt.Sprintf("samples=%d", maxApproxSamples+1),
+			} {
+				resp, body := e.do(t, http.MethodGet, "/tenants/"+name+"/approx/histogram?axis=0&lo=-1&hi=20&"+over, nil)
+				if resp.StatusCode != http.StatusBadRequest || body["reason"] != ReasonBadRequest {
+					t.Fatalf("histogram with %s: %d reason %v, want 400 %s", over, resp.StatusCode, body["reason"], ReasonBadRequest)
+				}
+			}
+			rc, _ = json.Marshal(rangeCountBody{Lo: []float64{-1, -1}, Hi: []float64{20, 20}, Samples: maxApproxSamples + 1})
+			resp, est = e.do(t, http.MethodPost, "/tenants/"+name+"/approx/rangecount", bytes.NewReader(rc))
+			if resp.StatusCode != http.StatusBadRequest || est["reason"] != ReasonBadRequest {
+				t.Fatalf("rangecount above the samples cap: %d %v, want 400 %s", resp.StatusCode, est, ReasonBadRequest)
+			}
 			resp, plot := e.do(t, http.MethodGet, "/tenants/"+name+"/plot?minpts=5", nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("plot: %d %v", resp.StatusCode, plot)
@@ -464,6 +481,31 @@ func TestDeadlineCancellation(t *testing.T) {
 	gate <- struct{}{}
 	if res := <-r2.done; res.err != nil || res.ordinal != 1 {
 		t.Fatalf("batch 2: ordinal %d err %v", res.ordinal, res.err)
+	}
+}
+
+// TestOversizedBatchRejected sends a batch whose WAL record would exceed
+// the 64 MiB record cap: 8,208 zero inserts at dim 1024, a 17 MB body.
+// The WAL refuses it before any write, so it is a client error — 400,
+// nothing applied — and the tenant keeps accepting normal batches.
+func TestOversizedBatchRejected(t *testing.T) {
+	e := newTestEnv(t, Options{})
+	const dim, inserts = 1024, 8208
+	e.createTenant(t, "huge", TenantConfig{Dim: dim, Bubbles: 1, Bootstrap: [][]float64{make([]float64, dim)}})
+	insert := `{"op":"insert","p":[0` + strings.Repeat(",0", dim-1) + `]}`
+	body := `{"updates":[` + insert + strings.Repeat(","+insert, inserts-1) + `]}`
+	resp, reply := e.do(t, http.MethodPost, "/tenants/huge/batches", bytes.NewReader([]byte(body)))
+	if resp.StatusCode != http.StatusBadRequest || reply["reason"] != ReasonBadRequest {
+		t.Fatalf("oversized batch: %d %v, want 400 %s", resp.StatusCode, reply, ReasonBadRequest)
+	}
+	resp, st := e.do(t, http.MethodGet, "/tenants/huge/status", nil)
+	if resp.StatusCode != http.StatusOK || st["read_only"] == true ||
+		int(st["applied"].(float64)) != 0 || int(st["points"].(float64)) != 1 {
+		t.Fatalf("status after the oversized batch: %d %v, want applied 0 and points 1", resp.StatusCode, st)
+	}
+	resp, reply = e.do(t, http.MethodPost, "/tenants/huge/batches", bytes.NewReader([]byte(`{"updates":[`+insert+`]}`)))
+	if resp.StatusCode != http.StatusOK || int(reply["applied"].(float64)) != 1 {
+		t.Fatalf("normal batch after the oversized one: %d %v", resp.StatusCode, reply)
 	}
 }
 

@@ -203,13 +203,11 @@ func (a *auditor) ownership(set *bubble.Set) {
 	}
 }
 
-// seedMatrix checks the cached Lemma 1 distances: zero diagonal,
+// seedMatrix checks the Lemma 1 seed distance matrix: zero diagonal,
 // symmetry, finiteness, and (unless skipped) agreement with recomputed
-// seed distances. Entries are read through PeekSeedDistance, which never
-// computes, and recomputation uses the uncounted vecmath.Distance — so an
-// audit never shows up in the paper's Figure 10/11 accounting even under
-// the lazy fastpair index, whose invalidated (uncached) entries are
-// simply skipped.
+// seed distances. SeedDistance only looks entries up and recomputation
+// uses the uncounted vecmath.Distance, so an audit never shows up in the
+// paper's Figure 10/11 accounting.
 func (a *auditor) seedMatrix(set *bubble.Set) {
 	if !set.Options().UseTriangleInequality {
 		return
@@ -217,19 +215,11 @@ func (a *auditor) seedMatrix(set *bubble.Set) {
 	k := set.Len()
 	dim := set.Dim()
 	for i := 0; i < k; i++ {
-		if d, ok := set.PeekSeedDistance(i, i); ok && d != 0 {
+		if d := set.SeedDistance(i, i); d != 0 {
 			a.add(CodeSeedMatrix, i, "diagonal entry %g, want 0", d)
 		}
 		for j := i + 1; j < k; j++ {
-			dij, okij := set.PeekSeedDistance(i, j)
-			dji, okji := set.PeekSeedDistance(j, i)
-			if okij != okji {
-				a.add(CodeSeedMatrix, i, "one-sided cache: (%d,%d) cached=%v but (%d,%d) cached=%v", i, j, okij, j, i, okji)
-				continue
-			}
-			if !okij {
-				continue // invalidated and not yet re-queried: nothing cached to audit
-			}
+			dij, dji := set.SeedDistance(i, j), set.SeedDistance(j, i)
 			if math.IsNaN(dij) || math.IsInf(dij, 0) || dij < 0 {
 				a.add(CodeSeedMatrix, i, "entry (%d,%d)=%g", i, j, dij)
 				continue

@@ -8,7 +8,6 @@ import (
 
 	"incbubbles/internal/core"
 	"incbubbles/internal/failpoint"
-	"incbubbles/internal/neighbor"
 )
 
 // crashEnv gates the full crash matrix (every failpoint × mode × hit);
@@ -51,31 +50,15 @@ func TestFailpointCoverage(t *testing.T) {
 }
 
 // crashCase is one cell of the matrix: kill the run the nth time the
-// workload reaches a failpoint, in a given mode, optionally under the
-// FastPair neighbor index (recovery replay exercised under the new index;
-// the dense-run reference fingerprint stays the comparison target, so the
-// fastpair legs double as cross-implementation determinism checks).
+// workload reaches a failpoint, in a given mode.
 type crashCase struct {
-	point    string
-	mode     failpoint.Mode
-	hit      int
-	fastpair bool
+	point string
+	mode  failpoint.Mode
+	hit   int
 }
 
 func (c crashCase) name() string {
-	n := c.point + "/" + c.mode.String() + "/hit" + string(rune('0'+c.hit))
-	if c.fastpair {
-		n += "/fastpair"
-	}
-	return n
-}
-
-func (c crashCase) coreOpts() core.Options {
-	opts := coreOpts()
-	if c.fastpair {
-		opts.Neighbor = neighbor.KindFastPair
-	}
-	return opts
+	return c.point + "/" + c.mode.String() + "/hit" + string(rune('0'+c.hit))
 }
 
 func (c crashCase) arm(reg *failpoint.Registry) {
@@ -96,11 +79,10 @@ func (c crashCase) arm(reg *failpoint.Registry) {
 func matrix(full bool) []crashCase {
 	if !full {
 		return []crashCase{
-			{point: core.FailMaintainRound, mode: failpoint.ModeCrash, hit: 1},                 // mid-mutation, logged
-			{point: core.FailMaintainRound, mode: failpoint.ModeCrash, hit: 1, fastpair: true}, // same kill under the lazy index
-			{point: FailAppendWrite, mode: failpoint.ModeTorn, hit: 1},                         // torn record on disk
-			{point: FailAppendSync, mode: failpoint.ModeCrash, hit: 1},                         // durability unknown
-			{point: FailCkptRename, mode: failpoint.ModeCrash, hit: 1},                         // checkpoint half-installed
+			{point: core.FailMaintainRound, mode: failpoint.ModeCrash, hit: 1}, // mid-mutation, logged
+			{point: FailAppendWrite, mode: failpoint.ModeTorn, hit: 1},         // torn record on disk
+			{point: FailAppendSync, mode: failpoint.ModeCrash, hit: 1},         // durability unknown
+			{point: FailCkptRename, mode: failpoint.ModeCrash, hit: 1},         // checkpoint half-installed
 		}
 	}
 	var cases []crashCase
@@ -108,9 +90,6 @@ func matrix(full bool) []crashCase {
 		for _, hit := range []int{1, 2} {
 			cases = append(cases, crashCase{point: p, mode: failpoint.ModeCrash, hit: hit})
 		}
-	}
-	for _, p := range core.Failpoints() {
-		cases = append(cases, crashCase{point: p, mode: failpoint.ModeCrash, hit: 1, fastpair: true})
 	}
 	for _, p := range []string{FailAppendWrite, FailCkptWrite} {
 		cases = append(cases,
@@ -138,7 +117,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			dir := t.TempDir()
 			db := f.initial.Clone()
 			reg := failpoint.New(7)
-			opts := tc.coreOpts()
+			opts := coreOpts()
 			opts.Failpoints = reg
 			walOpts := walBase
 			walOpts.Dir = dir
@@ -174,7 +153,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				t.Fatalf("armed failpoint %s never killed the run (hits=%d)", tc.point, reg.Hits(tc.point))
 			}
 
-			st, err := Resume(tc.coreOpts(), walBase.withDir(dir))
+			st, err := Resume(coreOpts(), walBase.withDir(dir))
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
