@@ -5,10 +5,14 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: build test vet race bench microbench verify-bench audit crash serve-test lint lint-test modverify staticcheck vuln verify
+.PHONY: build fmt test vet race bench microbench verify-bench audit crash serve-test lint lint-test modverify staticcheck vuln verify
 
 build:
 	$(GO) build ./...
+
+# The tree must be gofmt-clean: gofmt -l lists every file it would change.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l . ; echo "gofmt: files above need formatting" ; exit 1 ; }
 
 # -shuffle=on randomizes test order every run: the suites promise
 # order-independence, so a hidden inter-test dependency should fail fast
@@ -48,8 +52,8 @@ microbench:
 
 # Fuzz smoke: ten seconds per target (Go allows one -fuzz pattern per
 # invocation, hence one line each). Covers the bubble codec, the
-# codec+auditor composition, the CSV reader, the telemetry auditor,
-# snapshot parser and event codec (DESIGN.md §8), the seed distance
+# codec+auditor composition, the CSV reader, the telemetry auditor and
+# the Prometheus writer/parser pair (DESIGN.md §8), the seed distance
 # matrix oracle (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
 # and bubbled's JSON ingest surface (DESIGN.md §15).
 FUZZTIME ?= 10s
@@ -59,8 +63,7 @@ audit: vet race
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoadAudit$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzAudit$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzSnapshot$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzEventRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzPromRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzIngest$$' -fuzztime=$(FUZZTIME)
@@ -122,4 +125,4 @@ vuln:
 		echo "govulncheck $(GOVULNCHECK_VERSION) not installed; skipping" ; \
 	fi
 
-verify: build vet lint lint-test modverify test race audit staticcheck vuln
+verify: build fmt vet lint lint-test modverify test race audit staticcheck vuln

@@ -2,7 +2,6 @@ package incbubbles
 
 import (
 	"io"
-	"net/http"
 
 	"incbubbles/internal/approx"
 	"incbubbles/internal/bubble"
@@ -210,20 +209,19 @@ type (
 func NewStreamWindow(cfg StreamConfig) (*StreamWindow, error) { return stream.NewWindow(cfg) }
 
 // Telemetry types (observability and invariant auditing, DESIGN.md §8).
-// Pass a TelemetrySink via SummarizerOptions.Telemetry to collect metrics
-// and events; set SummarizerOptions.Audit to validate the summary
+// Pass a TelemetrySink via SummarizerOptions.Telemetry to collect
+// metrics; set SummarizerOptions.Audit to validate the summary
 // invariants after every maintenance phase. Both are strict observers:
 // results are bit-identical with or without them.
 type (
-	// TelemetrySink bundles a metrics registry with an event log.
+	// TelemetrySink is the metrics registry instrumented code reports
+	// into.
 	TelemetrySink = telemetry.Sink
-	// TelemetryEvent is one structured maintenance event.
-	TelemetryEvent = telemetry.Event
 	// AuditViolation is one invariant violation an audit pass found.
 	AuditViolation = telemetry.Violation
 )
 
-// NewTelemetrySink creates a sink with a default-capacity event ring.
+// NewTelemetrySink creates a sink with a fresh metrics registry.
 func NewTelemetrySink() *TelemetrySink { return telemetry.NewSink() }
 
 // AuditBubbles validates the summary invariants of set against the
@@ -232,13 +230,6 @@ func NewTelemetrySink() *TelemetrySink { return telemetry.NewSink() }
 // outside the instrumented counters.
 func AuditBubbles(set *BubbleSet, totalPoints int) []AuditViolation {
 	return telemetry.Audit(set, totalPoints)
-}
-
-// ServeTelemetryDebug serves /debug/telemetry, /debug/events and
-// /debug/pprof/* for sink on addr until the returned server is closed.
-// It returns the bound address, so addr may use port 0.
-func ServeTelemetryDebug(addr string, sink *TelemetrySink) (*http.Server, string, error) {
-	return telemetry.ServeDebug(addr, sink)
 }
 
 // Tracing types (hierarchical span tracing, DESIGN.md §11). Pass a Tracer
@@ -267,12 +258,6 @@ func WriteChromeTrace(w io.Writer, recs []TraceRecord) error { return trace.Writ
 // WriteFlameSummary writes completed spans as an aggregated plain-text
 // flame view (spans, wall time and distance work per call path).
 func WriteFlameSummary(w io.Writer, recs []TraceRecord) error { return trace.WriteFlame(w, recs) }
-
-// ServeTelemetryDebugTracer is ServeTelemetryDebug plus a /debug/trace
-// span-capture endpoint backed by tracer.
-func ServeTelemetryDebugTracer(addr string, sink *TelemetrySink, tracer *Tracer) (*http.Server, string, error) {
-	return telemetry.ServeDebugTracer(addr, sink, tracer)
-}
 
 // SaveBubbles serializes a bubble set as JSON so a maintained summary
 // survives process restarts; LoadBubbles restores it.

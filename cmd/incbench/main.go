@@ -49,12 +49,11 @@ func main() {
 		everyBatch = flag.Bool("evalEveryBatch", false, "average Table 1 quality over every batch instead of final state")
 		workers    = flag.Int("workers", 0, "concurrent repetitions (0 = GOMAXPROCS)")
 		audit      = flag.Bool("audit", false, "validate summary invariants after every batch; any violation aborts the run")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/telemetry, /debug/events, /debug/trace and /debug/pprof on this address while running")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/trace and /debug/pprof on this address while running")
 		walDir     = flag.String("wal-dir", "", "recovery experiment: host its WAL/checkpoint directories here (default: temp)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "recovery experiment: checkpoint cadence in batches (0 = default)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the run here (plus a flame summary on stderr)")
 		traceCap   = flag.Int("trace-cap", 0, "span ring capacity; oldest spans drop beyond it (0 = default)")
-		eventsCap  = flag.Int("events-cap", 0, "telemetry event ring capacity (0 = default)")
 	)
 	flag.Parse()
 
@@ -69,14 +68,14 @@ func main() {
 	}
 	var sink *telemetry.Sink
 	if *debugAddr != "" {
-		sink = telemetry.NewSinkOptions(telemetry.SinkOptions{EventCapacity: *eventsCap})
-		_, addr, done, err := telemetry.ServeDebugUntilTracer(ctx, *debugAddr, sink, tracer)
+		sink = telemetry.NewSink()
+		addr, done, err := telemetry.ServeDebug(ctx, *debugAddr, sink, tracer)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "incbench:", err)
 			os.Exit(1)
 		}
 		defer func() { stop(); <-done }() // drain in-flight scrapes, then exit
-		fmt.Fprintf(os.Stderr, "incbench: debug endpoint on http://%s/debug/telemetry\n", addr)
+		fmt.Fprintf(os.Stderr, "incbench: debug endpoint on http://%s/metrics\n", addr)
 	}
 
 	opts := cli.IncbenchOptions{

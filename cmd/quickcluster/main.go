@@ -35,12 +35,11 @@ func main() {
 		plotFlag  = flag.Bool("plot", false, "print the reachability plot")
 		assign    = flag.Bool("assignments", false, "print id,cluster for every point")
 		pngOut    = flag.String("png", "", "write a reachability-plot PNG to this path")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/telemetry, /debug/events, /debug/trace and /debug/pprof on this address while running")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/trace and /debug/pprof on this address while running")
 		walDir    = flag.String("wal-dir", "", "persist the summary here (WAL + checkpoints); rerun with the same directory to resume instead of rebuilding")
 		ckptEvery = flag.Int("checkpoint-every", 0, "durable checkpoint cadence in batches (0 = default)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run here (plus a flame summary on stderr)")
 		traceCap  = flag.Int("trace-cap", 0, "span ring capacity; oldest spans drop beyond it (0 = default)")
-		eventsCap = flag.Int("events-cap", 0, "telemetry event ring capacity (0 = default)")
 	)
 	flag.Parse()
 
@@ -55,14 +54,14 @@ func main() {
 	}
 	var sink *telemetry.Sink
 	if *debugAddr != "" {
-		sink = telemetry.NewSinkOptions(telemetry.SinkOptions{EventCapacity: *eventsCap})
-		_, addr, done, err := telemetry.ServeDebugUntilTracer(ctx, *debugAddr, sink, tracer)
+		sink = telemetry.NewSink()
+		addr, done, err := telemetry.ServeDebug(ctx, *debugAddr, sink, tracer)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "quickcluster:", err)
 			os.Exit(1)
 		}
 		defer func() { stop(); <-done }() // drain in-flight scrapes, then exit
-		fmt.Fprintf(os.Stderr, "quickcluster: debug endpoint on http://%s/debug/telemetry\n", addr)
+		fmt.Fprintf(os.Stderr, "quickcluster: debug endpoint on http://%s/metrics\n", addr)
 	}
 
 	r := os.Stdin

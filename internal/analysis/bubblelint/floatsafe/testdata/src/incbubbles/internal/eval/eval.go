@@ -83,7 +83,7 @@ type agg struct{ total float64 }
 func spellings(m map[string]float64, a *agg) float64 {
 	var s float64
 	for _, v := range m {
-		s = s + v // want `map iteration order`
+		s = s + v    // want `map iteration order`
 		a.total += v // want `map iteration order`
 	}
 	return s

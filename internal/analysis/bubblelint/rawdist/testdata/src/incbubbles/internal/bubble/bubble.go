@@ -11,8 +11,8 @@ import (
 
 // Uncounted package-function calls are the direct violation.
 func directCalls(p, q vecmath.Point) (float64, float64) {
-	d := vecmath.Distance(p, q)         // want `uncounted vecmath\.Distance call`
-	s := vecmath.SquaredDistance(p, q)  // want `uncounted vecmath\.SquaredDistance call`
+	d := vecmath.Distance(p, q)        // want `uncounted vecmath\.Distance call`
+	s := vecmath.SquaredDistance(p, q) // want `uncounted vecmath\.SquaredDistance call`
 	return d, s
 }
 

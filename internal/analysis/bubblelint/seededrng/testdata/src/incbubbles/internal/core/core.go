@@ -11,8 +11,8 @@ import (
 // Global-generator draws are nondeterministic across runs: the
 // acceptance-criterion case for internal/core.
 func globals() int {
-	n := rand.Intn(10) // want `math/rand global Intn`
-	f := rand.Float64() // want `math/rand global Float64`
+	n := rand.Intn(10)                 // want `math/rand global Intn`
+	f := rand.Float64()                // want `math/rand global Float64`
 	rand.Shuffle(n, func(i, j int) {}) // want `math/rand global Shuffle`
 	return n + int(f)
 }

@@ -182,12 +182,17 @@ func sampleBall(rng *stats.RNG, c vecmath.Point, r float64) vecmath.Point {
 
 // AxisHistogram estimates the marginal distribution of points along one
 // axis as counts over equal-width bins spanning [lo, hi], using the same
-// uniform-ball model. Points estimated outside [lo, hi] are dropped.
+// uniform-ball model. Points estimated outside [lo, hi] are dropped. lo,
+// hi and the bin width must be finite, with hi > lo.
 func AxisHistogram(set *bubble.Set, axis, bins int, lo, hi float64, samples int, seed int64) ([]float64, error) {
 	if axis < 0 || axis >= set.Dim() {
 		return nil, errors.New("approx: axis out of range")
 	}
-	if bins <= 0 || hi <= lo {
+	width := (hi - lo) / float64(bins)
+	// A positive, finite width means finite lo < hi; the negated
+	// comparison also rejects NaN, which would otherwise reach the bin
+	// index as int(NaN).
+	if bins <= 0 || !(width > 0) || math.IsInf(width, 1) {
 		return nil, errors.New("approx: invalid binning")
 	}
 	if samples <= 0 {
@@ -195,7 +200,6 @@ func AxisHistogram(set *bubble.Set, axis, bins int, lo, hi float64, samples int,
 	}
 	rng := stats.NewRNG(seed)
 	out := make([]float64, bins)
-	width := (hi - lo) / float64(bins)
 	deposit := func(x, mass float64) {
 		if x < lo || x >= hi {
 			return

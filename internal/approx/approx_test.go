@@ -175,6 +175,23 @@ func TestAxisHistogram(t *testing.T) {
 	if _, err := AxisHistogram(set, 0, 10, 5, 5, 8, 1); err == nil {
 		t.Error("empty range accepted")
 	}
+	// Non-finite edges, and a range whose width overflows to +Inf or
+	// underflows to zero, are invalid binnings rather than a bin index
+	// computed from NaN or ±Inf.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		bins   int
+		lo, hi float64
+	}{
+		{10, nan, 1}, {10, 0, nan}, {10, nan, nan},
+		{10, -inf, 1}, {10, 0, inf}, {10, -inf, inf},
+		{10, -math.MaxFloat64, math.MaxFloat64},
+		{4096, 0, math.SmallestNonzeroFloat64},
+	} {
+		if _, err := AxisHistogram(set, 0, c.bins, c.lo, c.hi, 8, 1); err == nil {
+			t.Errorf("bins=%d lo=%g hi=%g accepted", c.bins, c.lo, c.hi)
+		}
+	}
 	// The last float below hi divides out to index bins, not bins-1, for
 	// these binnings; a zero-extent bubble there must land in the last bin.
 	edge, err := bubble.NewSet(1, bubble.Options{TrackMembers: true})

@@ -38,6 +38,7 @@ func (s *Set) NewFinder() *Finder {
 // performs exactly the same distance computations and prunes, no matter
 // which worker runs it or when — the invariant the pipeline's determinism
 // harness asserts.
+//
 //lint:hotpath
 func (f *Finder) ClosestSeed(p vecmath.Point, seed int64) (int, float64, error) {
 	f.rng.Reseed(seed)
@@ -47,6 +48,7 @@ func (f *Finder) ClosestSeed(p vecmath.Point, seed int64) (int, float64, error) 
 // ClosestSeedExcluding is ClosestSeed over all bubbles except index excl —
 // the lookup the merge phase uses when a donor bubble's points are released
 // to their next-closest bubbles.
+//
 //lint:hotpath
 func (f *Finder) ClosestSeedExcluding(p vecmath.Point, excl int, seed int64) (int, float64, error) {
 	f.rng.Reseed(seed)

@@ -211,6 +211,7 @@ type distSink interface {
 // reads the seed positions and the seed distance matrix, so any number of
 // searches with distinct (rng, scratch, sink) triples may run concurrently;
 // that is the read-only phase 1 of the parallel assignment pipeline.
+//
 //lint:hotpath
 func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *[]int, sink distSink) (int, float64, error) {
 	n := len(s.bubbles)
@@ -294,6 +295,7 @@ func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *
 // pickCand removes and returns a uniformly random element of cands,
 // swapping the last element into its place. A named function rather than a
 // closure inside searchClosest so the hot path allocates nothing.
+//
 //lint:hotpath
 func pickCand(rng *stats.RNG, cands []int) (int, []int) {
 	k := rng.Intn(len(cands))

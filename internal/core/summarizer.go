@@ -218,11 +218,10 @@ type Summarizer struct {
 
 	// Observability. sink may be nil (telemetry disabled); the resolved
 	// metric handles are always valid — a nil sink hands out detached ones.
-	sink     *telemetry.Sink
-	metrics  coreMetrics
-	tracer   *trace.Tracer // nil-safe span recording; see Options.Tracer
-	audit    bool
-	curBatch int // batch ordinal stamped on emitted events; -1 outside batches
+	sink    *telemetry.Sink
+	metrics coreMetrics
+	tracer  *trace.Tracer // nil-safe span recording; see Options.Tracer
+	audit   bool
 	// lastComputed/lastPruned remember the distance-counter state at the
 	// previous sync, so the telemetry counters advance by exact deltas of
 	// the same vecmath.Counter every code path counts into — the two
@@ -286,11 +285,11 @@ type Options struct {
 	Counter *vecmath.Counter
 	// Seed drives seed selection and probe order. Default 1.
 	Seed int64
-	// Telemetry receives metrics and structured maintenance events.
-	// Optional; nil disables instrumentation with no overhead on the
-	// assignment hot paths. Telemetry is an observer only — enabling it
-	// never changes seeds, probe orders, or distance accounting, so
-	// instrumented and bare runs produce bit-identical summaries.
+	// Telemetry receives the core metrics (DESIGN.md §8). Optional; nil
+	// disables instrumentation with no overhead on the assignment hot
+	// paths. Telemetry is an observer only — enabling it never changes
+	// seeds, probe orders, or distance accounting, so instrumented and
+	// bare runs produce bit-identical summaries.
 	Telemetry *telemetry.Sink
 	// Audit enables an invariant audit (telemetry.Audit) after the apply
 	// phase, after every maintenance round, and after adaptive count
@@ -415,7 +414,6 @@ func finishConstruct(db *dataset.DB, set *bubble.Set, cfg Config, seed int64, rn
 		metrics:    newCoreMetrics(opts.Telemetry),
 		tracer:     opts.Tracer,
 		audit:      opts.Audit,
-		curBatch:   -1,
 	}
 	s.syncDistances()
 	if s.sink != nil {
@@ -448,7 +446,7 @@ func (s *Summarizer) Telemetry() *telemetry.Sink { return s.sink }
 // Audit runs an on-demand invariant audit of the maintained summary and
 // returns the violations (empty for a healthy summary). Unlike the
 // automatic passes enabled by Options.Audit, an on-demand audit touches no
-// metrics or events.
+// metrics.
 func (s *Summarizer) Audit() []telemetry.Violation {
 	return telemetry.Audit(s.set, s.db.Len())
 }
@@ -476,17 +474,8 @@ func (s *Summarizer) syncDistances() {
 	s.lastComputed, s.lastPruned = computed, pruned
 }
 
-// emit stamps the current batch ordinal on e and appends it to the sink.
-func (s *Summarizer) emit(e telemetry.Event) {
-	if s.sink == nil {
-		return
-	}
-	e.Batch = s.curBatch
-	s.sink.Emit(e)
-}
-
 // runAudit performs one automatic audit pass when enabled, routing any
-// violations into bs (if non-nil), the metrics, and the event log.
+// violations into bs (if non-nil) and the metrics.
 func (s *Summarizer) runAudit(bs *BatchStats) {
 	if !s.audit {
 		return
@@ -498,7 +487,6 @@ func (s *Summarizer) runAudit(bs *BatchStats) {
 	}
 	s.lastViolations = vs
 	s.metrics.auditViolations.Add(uint64(len(vs)))
-	s.emit(telemetry.Event{Kind: telemetry.KindViolation, N: len(vs)})
 	if bs != nil {
 		bs.AuditViolations += len(vs)
 	}
@@ -539,8 +527,6 @@ func (s *Summarizer) ApplyBatchContext(ctx context.Context, batch dataset.Batch)
 		// reproduces the uninterrupted run bit-for-bit.
 		s.rng.Reseed(stats.SubSeed(s.seedBase, ordinal))
 	}
-	s.curBatch = ordinal
-	defer func() { s.curBatch = -1 }()
 	bsp := s.startBatchSpan(ctx)
 	defer bsp.End()
 	bsp.SetInt(trace.AttrOrdinal, int64(ordinal))
@@ -615,8 +601,6 @@ func (s *Summarizer) applyAndMaintain(batch dataset.Batch, targets []int, bs *Ba
 		s.metrics.rounds.Add(uint64(bs.Rounds))
 		s.metrics.donorsFromGood.Add(uint64(bs.DonorsFromGood))
 		s.metrics.bubbles.Set(float64(s.set.Len()))
-		s.emit(telemetry.Event{Kind: telemetry.KindBatchApply,
-			A: bs.Inserted, B: bs.Deleted, N: len(batch)})
 	}
 	return s.fail.Hit(FailApplyDone)
 }
@@ -815,7 +799,6 @@ func (s *Summarizer) adaptCount(msp *trace.Span) (added, removed int, err error)
 		if err := s.splitOver(idx, over, msp); err != nil {
 			return added, removed, err
 		}
-		s.emit(telemetry.Event{Kind: telemetry.KindGrow, A: idx, B: over})
 		added++
 	}
 	// Shrink: keep at most one empty bubble as a spare donor.
@@ -833,7 +816,6 @@ func (s *Summarizer) adaptCount(msp *trace.Span) (added, removed int, err error)
 		if err := s.set.RemoveBubble(empties[k]); err != nil {
 			return added, removed, err
 		}
-		s.emit(telemetry.Event{Kind: telemetry.KindShrink, A: empties[k]})
 		removed++
 	}
 	return added, removed, nil
@@ -1013,7 +995,6 @@ func (s *Summarizer) mergeAway(donor int, msp *trace.Span) error {
 			return err
 		}
 	}
-	s.emit(telemetry.Event{Kind: telemetry.KindMerge, A: donor, N: len(ids)})
 	return nil
 }
 
@@ -1058,8 +1039,6 @@ func (s *Summarizer) splitOver(donor, over int, msp *trace.Span) error {
 	if err := s.set.ResetBubble(over, rec2.P); err != nil {
 		return err
 	}
-	s.emit(telemetry.Event{Kind: telemetry.KindReseed, A: donor})
-	s.emit(telemetry.Event{Kind: telemetry.KindReseed, A: over})
 
 	// Distribute the points between the two fresh seeds with the same
 	// two-phase shape as batch assignment: the per-point two-seed decision
@@ -1105,6 +1084,5 @@ func (s *Summarizer) splitOver(donor, over int, msp *trace.Span) error {
 			return err
 		}
 	}
-	s.emit(telemetry.Event{Kind: telemetry.KindSplit, A: donor, B: over, N: len(overIDs)})
 	return nil
 }

@@ -3,15 +3,29 @@ package core
 import (
 	"testing"
 
+	"incbubbles/internal/dataset"
+	"incbubbles/internal/stats"
 	"incbubbles/internal/synth"
 	"incbubbles/internal/telemetry"
+	"incbubbles/internal/trace"
 	"incbubbles/internal/vecmath"
 )
 
+// spanCount counts the retained spans named name.
+func spanCount(tr *trace.Tracer, name string) int {
+	n := 0
+	for _, r := range tr.Snapshot() {
+		if r.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
 // runInstrumented replays a Complex scenario through a summarizer wired to
-// a fresh sink, cross-checking after every batch that the telemetry
-// distance counters agree exactly with the vecmath.Counter all code paths
-// count into.
+// a fresh sink and a tracer large enough to retain every span,
+// cross-checking after every batch that the telemetry distance counters
+// agree exactly with the vecmath.Counter all code paths count into.
 func runInstrumented(t *testing.T, seed int64, workers, batches int, audit bool) (*Summarizer, *telemetry.Sink, *vecmath.Counter, string) {
 	t.Helper()
 	sc, err := synth.NewScenario(synth.Config{Kind: synth.Complex, InitialPoints: 1500, Batches: batches, Seed: seed})
@@ -26,6 +40,7 @@ func runInstrumented(t *testing.T, seed int64, workers, batches int, audit bool)
 		Seed:                  seed + 1,
 		Counter:               &counter,
 		Telemetry:             sink,
+		Tracer:                trace.New(trace.Options{Capacity: 1 << 16}),
 		Audit:                 audit,
 		Config:                Config{Workers: workers},
 	})
@@ -82,8 +97,9 @@ func TestTelemetryMatchesCounter(t *testing.T) {
 	}
 }
 
-// TestTelemetryDoesNotPerturbResults: enabling the sink and the auditor
-// must leave the summary bit-identical — instrumentation is an observer.
+// TestTelemetryDoesNotPerturbResults: enabling the sink, the tracer and
+// the auditor must leave the summary bit-identical — instrumentation is
+// an observer.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	bare := runScenario(t, 52, 2, 3)
 	_, _, _, instrumented := runInstrumented(t, 52, 2, 3, true)
@@ -92,12 +108,15 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestTelemetryEventsAndMetrics checks the structured event stream and the
-// core counters against the summarizer's own bookkeeping.
-func TestTelemetryEventsAndMetrics(t *testing.T) {
+// TestTelemetrySpansAndMetrics checks the maintenance spans and the core
+// counters against the summarizer's own bookkeeping.
+func TestTelemetrySpansAndMetrics(t *testing.T) {
 	s, sink, _, _ := runInstrumented(t, 53, 0, 4, true)
-	if got := sink.Events.Count(telemetry.KindBatchApply); got != 4 {
-		t.Fatalf("batch-apply events = %d, want 4", got)
+	if d := s.tracer.Dropped(); d != 0 {
+		t.Fatalf("trace ring dropped %d spans", d)
+	}
+	if got := spanCount(s.tracer, "core.batch"); got != 4 {
+		t.Fatalf("core.batch spans = %d, want 4", got)
 	}
 	if got := sink.Counter(telemetry.MetricCoreBatches).Value(); got != 4 {
 		t.Fatalf("core.batches = %d, want 4", got)
@@ -105,11 +124,16 @@ func TestTelemetryEventsAndMetrics(t *testing.T) {
 	if got := sink.Counter(telemetry.MetricCoreRebuilt).Value(); got != uint64(s.TotalRebuilt()) {
 		t.Fatalf("core.rebuilt = %d, want %d", got, s.TotalRebuilt())
 	}
-	// Every rebuild is one merge plus one split: 2 bubbles counted.
-	merges := sink.Events.Count(telemetry.KindMerge)
-	splits := sink.Events.Count(telemetry.KindSplit)
+	// Every rebuild is one split of the over-filled bubble plus the merge
+	// of its donor (no merge span when the donor was already empty): 2
+	// bubbles counted per split.
+	merges := spanCount(s.tracer, "core.merge")
+	splits := spanCount(s.tracer, "core.split")
 	if s.TotalRebuilt() > 0 && merges+splits == 0 {
-		t.Fatalf("rebuilt %d bubbles but no merge/split events", s.TotalRebuilt())
+		t.Fatalf("rebuilt %d bubbles but no merge/split spans", s.TotalRebuilt())
+	}
+	if 2*splits != s.TotalRebuilt() || merges > splits {
+		t.Fatalf("%d merge and %d split spans for %d rebuilt bubbles", merges, splits, s.TotalRebuilt())
 	}
 	if got := sink.Gauge(telemetry.MetricCoreBubbles).Value(); got != float64(s.Set().Len()) {
 		t.Fatalf("core.bubbles gauge = %v, set has %d", got, s.Set().Len())
@@ -135,46 +159,69 @@ func TestTelemetryEventsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestTelemetryAdaptiveEvents drives the §6 adaptive-count extension and
-// checks grow/shrink events line up with BatchStats.
+// TestTelemetryAdaptiveEvents drives the §6 adaptive-count extension
+// through a grow batch (a massive far-away cluster arrives) and a shrink
+// batch (it is deleted again), and checks the grow spans and the
+// bubble-count gauge line up with BatchStats.
 func TestTelemetryAdaptiveEvents(t *testing.T) {
-	sc, err := synth.NewScenario(synth.Config{Kind: synth.Complex, InitialPoints: 1500, Batches: 5, Seed: 54})
-	if err != nil {
-		t.Fatal(err)
+	rng := stats.NewRNG(54)
+	db := dataset.MustNew(2)
+	for i := 0; i < 1500; i++ {
+		db.Insert(rng.GaussianPoint(vecmath.Point{20, 20}, 3), 0)
 	}
 	sink := telemetry.NewSink()
-	s, err := New(sc.DB(), Options{
+	tracer := trace.New(trace.Options{Capacity: 1 << 16})
+	s, err := New(db, Options{
 		NumBubbles:            20,
 		UseTriangleInequality: true,
 		Seed:                  55,
 		Telemetry:             sink,
+		Tracer:                tracer,
 		Audit:                 true,
 		Config:                Config{AdaptiveCount: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var grow dataset.Batch
+	for i := 0; i < 1500; i++ {
+		grow = append(grow, dataset.Update{Op: dataset.OpInsert, P: rng.GaussianPoint(vecmath.Point{500, 500}, 2), Label: 1})
+	}
+	initial := s.Set().Len()
 	var added, removed int
-	for i := 0; i < 5; i++ {
-		batch, err := sc.NextBatch()
+	apply := func(batch dataset.Batch) dataset.Batch {
+		t.Helper()
+		applied, err := batch.Apply(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := s.ApplyBatch(batch)
+		bs, err := s.ApplyBatch(applied)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if bs.AuditViolations != 0 {
+			t.Fatalf("audit: %v", s.LastViolations())
 		}
 		added += bs.BubblesAdded
 		removed += bs.BubblesRemoved
-		if bs.AuditViolations != 0 {
-			t.Fatalf("batch %d: %v", i, s.LastViolations())
-		}
+		return applied
 	}
-	if got := sink.Events.Count(telemetry.KindGrow); got != uint64(added) {
-		t.Fatalf("grow events = %d, BatchStats added = %d", got, added)
+	var shrink dataset.Batch
+	for _, u := range apply(grow) {
+		shrink = append(shrink, dataset.Update{Op: dataset.OpDelete, ID: u.ID})
 	}
-	if got := sink.Events.Count(telemetry.KindShrink); got != uint64(removed) {
-		t.Fatalf("shrink events = %d, BatchStats removed = %d", got, removed)
+	apply(shrink)
+	if added == 0 || removed == 0 {
+		t.Fatalf("adaptive count added %d and removed %d bubbles, want both nonzero", added, removed)
+	}
+	if d := tracer.Dropped(); d != 0 {
+		t.Fatalf("trace ring dropped %d spans", d)
+	}
+	if got := spanCount(tracer, "core.grow"); got != added {
+		t.Fatalf("core.grow spans = %d, BatchStats added = %d", got, added)
+	}
+	if got, want := sink.Gauge(telemetry.MetricCoreBubbles).Value(), float64(initial+added-removed); got != want {
+		t.Fatalf("core.bubbles gauge = %v, want %d initial + %d added - %d removed", got, initial, added, removed)
 	}
 }
 

@@ -51,8 +51,8 @@ type Config struct {
 	// an error, so an audited experiments run doubles as an end-to-end
 	// invariant check.
 	Audit bool
-	// Telemetry optionally receives metrics and maintenance events from
-	// every summarizer the experiments construct. One sink may be shared
+	// Telemetry optionally receives the metrics of every summarizer the
+	// experiments construct. One sink may be shared
 	// across all repetitions and datasets (its updates are atomic).
 	Telemetry *telemetry.Sink
 	// Tracer optionally records hierarchical spans from every summarizer

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -32,6 +33,7 @@ const (
 	ReasonTenantExists   = "tenant_exists"
 	ReasonConfigMismatch = "config_mismatch"
 	ReasonIngestFailed   = "ingest_failed"
+	ReasonCreateFailed   = "create_failed"
 )
 
 // errorBody is the uniform error envelope.
@@ -150,7 +152,11 @@ func (s *Server) Handler() http.Handler {
 	handle("POST /tenants/{tenant}/approx/rangecount", "approx_rangecount", slog.LevelInfo, s.withTenant(s.handleRangeCount))
 	handle("GET /tenants/{tenant}/approx/histogram", "approx_histogram", slog.LevelInfo, s.withTenant(s.handleHistogram))
 	handle("GET /tenants/{tenant}/plot", "plot", slog.LevelInfo, s.withTenant(s.handlePlot))
-	handle("GET /tenants/{tenant}/debug/trace", "debug_trace", slog.LevelDebug, s.withTenant(s.handleTenantTrace))
+	handle("GET /tenants/{tenant}/debug/trace", "debug_trace", slog.LevelDebug, s.withTenant(func(w http.ResponseWriter, r *http.Request, t *tenant) {
+		// A trace-disabled tenant (Options.TraceCapacity < 0) has a nil
+		// tracer, which serves an empty trace.
+		t.tracer.ServeHTTP(w, r)
+	}))
 	if s.opts.Debug {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -277,7 +283,8 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrTenantExists):
 		writeJSON(w, http.StatusOK, st) // idempotent re-create
-	case errors.Is(err, ErrBadTenantName), errors.Is(err, ErrConfigMismatch), errors.Is(err, ErrBadBootstrap):
+	case errors.Is(err, ErrBadTenantName), errors.Is(err, ErrConfigMismatch), errors.Is(err, ErrBadBootstrap),
+		errors.Is(err, ErrMissingDim):
 		reason := ReasonBadRequest
 		if errors.Is(err, ErrConfigMismatch) {
 			reason = ReasonConfigMismatch
@@ -286,7 +293,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, ReasonDraining, err)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, ReasonBadRequest, err)
+		writeError(w, http.StatusInternalServerError, ReasonCreateFailed, err)
 	default:
 		writeJSON(w, http.StatusCreated, st)
 	}
@@ -491,13 +498,35 @@ func (s *Server) handleRangeCount(w http.ResponseWriter, r *http.Request, t *ten
 	writeJSON(w, http.StatusOK, map[string]any{"applied": rs.applied, "estimate": est})
 }
 
+// queryParam parses the optional query parameter key: an absent one
+// yields def, a present one that does not parse an error.
+func queryParam[T any](q url.Values, key string, def T, parse func(string) (T, error)) (T, error) {
+	if !q.Has(key) {
+		return def, nil
+	}
+	v, err := parse(q.Get(key))
+	if err != nil {
+		return def, fmt.Errorf("server: query parameter %s: %w", key, err)
+	}
+	return v, nil
+}
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+func parseInt64(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
+
 func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tenant) {
 	q := r.URL.Query()
-	axis, _ := strconv.Atoi(q.Get("axis"))
-	bins, _ := strconv.Atoi(q.Get("bins"))
-	lo, _ := strconv.ParseFloat(q.Get("lo"), 64)
-	hi, _ := strconv.ParseFloat(q.Get("hi"), 64)
-	samples, _ := strconv.Atoi(q.Get("samples"))
+	axis, err1 := queryParam(q, "axis", 0, strconv.Atoi)
+	bins, err2 := queryParam(q, "bins", 0, strconv.Atoi)
+	lo, err3 := queryParam(q, "lo", 0, parseFloat)
+	hi, err4 := queryParam(q, "hi", 0, parseFloat)
+	samples, err5 := queryParam(q, "samples", 0, strconv.Atoi)
+	seed, err6 := queryParam(q, "seed", 0, parseInt64)
+	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
+		writeError(w, http.StatusBadRequest, ReasonBadRequest, err)
+		return
+	}
 	if bins <= 0 {
 		bins = 16
 	}
@@ -509,7 +538,6 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tena
 			fmt.Errorf("server: bins %d or samples %d above the caps %d and %d", bins, samples, maxHistogramBins, maxApproxSamples))
 		return
 	}
-	seed, _ := strconv.ParseInt(q.Get("seed"), 10, 64)
 	if seed == 0 {
 		seed = t.seed
 	}

@@ -1,20 +1,16 @@
 package server
 
 import (
-	"bytes"
 	"net/http"
 	"sort"
-	"strconv"
-	"time"
 
 	"incbubbles/internal/telemetry"
-	"incbubbles/internal/trace"
 )
 
 // handleMetrics is the Prometheus scrape endpoint: every tenant's full
 // metric registry folded into one exposition page, each series labeled
 // with its tenant, plus the scrape-time synthesized series (degradation
-// ladder state, last-checkpoint age, bounded-ring drop counters). The
+// ladder state, last-checkpoint age, the span ring's drop counter). The
 // snapshots read each tenant's registry through its own atomics, so a
 // scrape never blocks ingestion.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -42,72 +38,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			label, telemetry.Label{Name: "reason", Value: reason})
 		pw.AddGaugeSample(telemetry.MetricServerCheckpointAge, t.checkpointAge(), label)
 
-		// Bounded-ring overflow: evictions from the event log and the
-		// trace span ring. Nonzero means the ring was sized below the
-		// tenant's event rate — the one signal a bounded buffer must not
+		// Span-ring overflow: nonzero means the ring was sized below the
+		// tenant's span rate — the one signal a bounded buffer must not
 		// lose. Dropped() is nil-safe, so a trace-disabled tenant reports 0.
-		pw.AddCounterSample(telemetry.MetricEventsDropped, t.sink.Events.Dropped(), label)
 		pw.AddCounterSample(telemetry.MetricTraceSpansDropped, t.tracer.Dropped(), label)
 	}
-
-	// Render into a buffer first: a writer error (metric name registered
-	// under two types) must become a clean 500, not a torn page a parser
-	// chokes on halfway through.
-	var buf bytes.Buffer
-	if _, err := pw.WriteTo(&buf); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(buf.Bytes())
+	pw.WriteResponse(w)
 }
-
-// handleTenantTrace serves one tenant's bounded span ring, mirroring the
-// telemetry debug mux's /debug/trace contract:
-//
-//	GET /tenants/{t}/debug/trace              Chrome trace-event JSON
-//	GET /tenants/{t}/debug/trace?sec=N        block N seconds (cap 60) and
-//	                                          return spans started in the
-//	                                          window; client cancellation
-//	                                          returns what accumulated
-//	GET /tenants/{t}/debug/trace?format=flame plain-text flame summary
-//
-// A trace-disabled tenant (Options.TraceCapacity < 0) serves an empty
-// trace — the nil-safe tracer makes every call below a no-op.
-func (s *Server) handleTenantTrace(w http.ResponseWriter, r *http.Request, t *tenant) {
-	since := int64(0)
-	haveSince := false
-	if sec, err := strconv.Atoi(r.URL.Query().Get("sec")); err == nil && sec > 0 {
-		if sec > maxTraceCaptureSeconds {
-			sec = maxTraceCaptureSeconds
-		}
-		since = t.tracer.Now()
-		haveSince = true
-		select {
-		case <-time.After(time.Duration(sec) * time.Second):
-		case <-r.Context().Done():
-			// Return whatever accumulated before the client gave up.
-		}
-	}
-	var recs []trace.Record
-	if haveSince {
-		recs = t.tracer.SnapshotSince(since)
-	} else {
-		recs = t.tracer.Snapshot()
-	}
-	var err error
-	if r.URL.Query().Get("format") == "flame" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		err = trace.WriteFlame(w, recs)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		err = trace.WriteChrome(w, recs)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// maxTraceCaptureSeconds bounds a blocking trace capture so a scrape
-// cannot pin a handler goroutine indefinitely.
-const maxTraceCaptureSeconds = 60

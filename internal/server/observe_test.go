@@ -55,7 +55,7 @@ func promPoint(fams map[string]*telemetry.PromFamily, family, tenant string) *te
 // requiredFamilies is every metric family the scrape must expose with a
 // per-tenant label for every live tenant: the tenant registry families
 // resolved at construction (serving-layer handles, WAL latency
-// histograms), the ingest-driven core families, and the four
+// histograms), the ingest-driven core families, and the three
 // scrape-synthesized series.
 var requiredFamilies = []string{
 	"server_batches_ingested",
@@ -68,7 +68,6 @@ var requiredFamilies = []string{
 	"server_http_503",
 	"server_ladder_state",
 	"server_last_checkpoint_age_seconds",
-	"telemetry_events_dropped",
 	"trace_spans_dropped",
 	"distance_computed",
 	"distance_pruned",
@@ -254,8 +253,7 @@ func TestMetricsLadderGaugeFlips(t *testing.T) {
 
 // TestMetricsDropCounters sizes the tenant's span ring far below its
 // span rate and requires the scrape's trace_spans_dropped to go nonzero
-// and to equal the ring's own Dropped() exactly; the event-ring drop
-// counter must likewise mirror the event log's accounting.
+// and to equal the ring's own Dropped() exactly.
 func TestMetricsDropCounters(t *testing.T) {
 	e := newTestEnv(t, Options{TraceCapacity: 8})
 	const bootN = 12
@@ -285,10 +283,6 @@ func TestMetricsDropCounters(t *testing.T) {
 	spans := promPoint(fams, "trace_spans_dropped", "ring")
 	if want := strconv.FormatUint(tn.tracer.Dropped(), 10); spans == nil || spans.Raw != want {
 		t.Fatalf("trace_spans_dropped = %+v, want exactly %s", spans, want)
-	}
-	events := promPoint(fams, "telemetry_events_dropped", "ring")
-	if want := strconv.FormatUint(tn.sink.Events.Dropped(), 10); events == nil || events.Raw != want {
-		t.Fatalf("telemetry_events_dropped = %+v, want exactly %s", events, want)
 	}
 }
 

@@ -41,6 +41,7 @@ var (
 	ErrBadTenantName  = errors.New("server: tenant name must match [A-Za-z0-9_-]{1,64}")
 	ErrConfigMismatch = errors.New("server: tenant config mismatch")
 	ErrBadBootstrap   = errors.New("server: bootstrap must supply at least as many points as bubbles")
+	ErrMissingDim     = errors.New("server: tenant config needs dim > 0")
 	ErrBadBatch       = errors.New("server: bad batch")
 )
 
@@ -272,7 +273,7 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) (*TenantStatus, err
 func (s *Server) openTenant(name string, cfg TenantConfig) (*TenantStatus, error) {
 	cfg = cfg.withDefaults(s.opts.Defaults)
 	if cfg.Dim <= 0 {
-		return nil, errors.New("server: tenant config needs dim > 0")
+		return nil, ErrMissingDim
 	}
 	seed := cfg.Seed
 	if seed == 0 {

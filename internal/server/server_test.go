@@ -296,6 +296,17 @@ func TestTenantLifecycleAndReads(t *testing.T) {
 					t.Fatalf("histogram with %s: %d reason %v, want 400 %s", over, resp.StatusCode, body["reason"], ReasonBadRequest)
 				}
 			}
+			// Non-finite edges and parameters that are present but do not
+			// parse are rejected requests, not a panic or a silent default.
+			for _, query := range []string{
+				"lo=NaN&hi=20", "lo=-Inf&hi=20", "lo=-1&hi=NaN", "lo=-1&hi=1e400", "lo=-1&hi=abc",
+				"lo=-1&hi=20&axis=x", "lo=-1&hi=20&bins=2.5", "lo=-1&hi=20&samples=", "lo=-1&hi=20&seed=s",
+			} {
+				resp, body := e.do(t, http.MethodGet, "/tenants/"+name+"/approx/histogram?"+query, nil)
+				if resp.StatusCode != http.StatusBadRequest || body["reason"] != ReasonBadRequest {
+					t.Fatalf("histogram with %s: %d %v, want 400 %s", query, resp.StatusCode, body, ReasonBadRequest)
+				}
+			}
 			rc, _ = json.Marshal(rangeCountBody{Lo: []float64{-1, -1}, Hi: []float64{20, 20}, Samples: maxApproxSamples + 1})
 			resp, est = e.do(t, http.MethodPost, "/tenants/"+name+"/approx/rangecount", bytes.NewReader(rc))
 			if resp.StatusCode != http.StatusBadRequest || est["reason"] != ReasonBadRequest {
@@ -351,6 +362,32 @@ func TestTenantLifecycleAndReads(t *testing.T) {
 	}
 	if resp, hz := e.do(t, http.MethodGet, "/healthz", nil); resp.StatusCode != http.StatusOK || hz["draining"].(bool) {
 		t.Fatalf("healthz: %d %v", resp.StatusCode, hz)
+	}
+}
+
+// TestCreateTenantErrors pins the create reasons: a config without a
+// dim is the client's error (400 bad_request, with no server default
+// dim to fall back on), while a storage failure during creation is the
+// server's (500 create_failed).
+func TestCreateTenantErrors(t *testing.T) {
+	reg := failpoint.New(7)
+	e := newTestEnv(t, Options{Failpoints: reg})
+	for _, body := range []string{"", `{"bubbles":4}`} {
+		resp, reply := e.do(t, http.MethodPut, "/tenants/nodim", bytes.NewReader([]byte(body)))
+		if resp.StatusCode != http.StatusBadRequest || reply["reason"] != ReasonBadRequest {
+			t.Fatalf("create with body %q: %d %v, want 400 %s", body, resp.StatusCode, reply, ReasonBadRequest)
+		}
+	}
+	// One attempt only, so the injected checkpoint error is not retried
+	// away.
+	reg.ArmError(wal.FailCkptWrite, 1, nil)
+	b, _ := json.Marshal(TenantConfig{Dim: 2, Bubbles: 4, RetryAttempts: 1, Bootstrap: mkBootstrap(2, 8, 31)})
+	resp, reply := e.do(t, http.MethodPut, "/tenants/broken", bytes.NewReader(b))
+	if resp.StatusCode != http.StatusInternalServerError || reply["reason"] != ReasonCreateFailed {
+		t.Fatalf("create with a failing checkpoint write: %d %v, want 500 %s", resp.StatusCode, reply, ReasonCreateFailed)
+	}
+	if n := reg.Hits(wal.FailCkptWrite); n != 1 {
+		t.Fatalf("checkpoint write evaluated %d times, want 1", n)
 	}
 }
 

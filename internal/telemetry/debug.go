@@ -2,157 +2,46 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"incbubbles/internal/trace"
 )
-
-// DebugMux returns the debug HTTP handler the -debug-addr CLI flags
-// serve:
-//
-//	/debug/telemetry   expvar-style JSON snapshot of all metrics
-//	/debug/events      JSON array of the retained structured events
-//	/debug/pprof/...   the standard net/http/pprof handlers
-//
-// The handlers read the sink through its own synchronization, so the mux
-// can serve while the instrumented system runs.
-func DebugMux(sink *Sink) *http.ServeMux {
-	return DebugMuxTracer(sink, nil)
-}
-
-// maxCaptureSeconds bounds how long /debug/trace?sec=N will block: a
-// scrape must not pin a handler goroutine indefinitely.
-const maxCaptureSeconds = 60
-
-// DebugMuxTracer is DebugMux plus a span-capture endpoint backed by
-// tracer (nil serves empty traces):
-//
-//	/debug/trace             Chrome trace-event JSON of the retained spans
-//	/debug/trace?sec=N       block N seconds (cap 60), return spans started
-//	                         in that window; cancelling the request stops
-//	                         the wait early and returns what accumulated
-//	/debug/trace?format=flame  plain-text flame summary instead of JSON
-func DebugMuxTracer(sink *Sink, tracer *trace.Tracer) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		since := int64(0)
-		haveSince := false
-		if sec, err := strconv.Atoi(r.URL.Query().Get("sec")); err == nil && sec > 0 {
-			if sec > maxCaptureSeconds {
-				sec = maxCaptureSeconds
-			}
-			since = tracer.Now()
-			haveSince = true
-			select {
-			case <-time.After(time.Duration(sec) * time.Second):
-			case <-r.Context().Done():
-				// Return whatever accumulated before the client gave up.
-			}
-		}
-		var recs []trace.Record
-		if haveSince {
-			recs = tracer.SnapshotSince(since)
-		} else {
-			recs = tracer.Snapshot()
-		}
-		var err error
-		if r.URL.Query().Get("format") == "flame" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			err = trace.WriteFlame(w, recs)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			err = trace.WriteChrome(w, recs)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var snap Snapshot
-		if sink != nil && sink.Metrics != nil {
-			snap = sink.Metrics.Snapshot()
-		}
-		if err := json.NewEncoder(w).Encode(snap); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		events := []Event{}
-		var total, dropped uint64
-		if sink != nil && sink.Events != nil {
-			events = sink.Events.Events()
-			total = sink.Events.Total()
-			dropped = sink.Events.Dropped()
-		}
-		err := json.NewEncoder(w).Encode(struct {
-			Total   uint64  `json:"total"`
-			Dropped uint64  `json:"dropped"`
-			Events  []Event `json:"events"`
-		}{Total: total, Dropped: dropped, Events: events})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// ServeDebug starts the debug endpoint on addr (e.g. "localhost:6060") in
-// a background goroutine and returns the server plus the bound address
-// (useful when addr requests port 0). Shut it down with srv.Close.
-func ServeDebug(addr string, sink *Sink) (*http.Server, string, error) {
-	return ServeDebugTracer(addr, sink, nil)
-}
-
-// ServeDebugTracer is ServeDebug with /debug/trace backed by tracer.
-func ServeDebugTracer(addr string, sink *Sink, tracer *trace.Tracer) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: DebugMuxTracer(sink, tracer)}
-	go func() {
-		// ErrServerClosed after Close/Shutdown is the expected exit.
-		_ = srv.Serve(ln)
-	}()
-	return srv, ln.Addr().String(), nil
-}
 
 // shutdownGrace bounds how long a cancelled debug server waits for
 // in-flight scrapes (a long pprof profile, say) before closing their
 // connections.
 const shutdownGrace = 5 * time.Second
 
-// ServeDebugUntil is ServeDebug tied to a context: when ctx is cancelled
-// the server shuts down gracefully, draining in-flight requests for up to
-// shutdownGrace before forcing connections closed. The returned done
-// channel closes once shutdown has completed, so a CLI can wait for it
-// before exiting.
-func ServeDebugUntil(ctx context.Context, addr string, sink *Sink) (srv *http.Server, bound string, done <-chan struct{}, err error) {
-	return ServeDebugUntilTracer(ctx, addr, sink, nil)
-}
-
-// ServeDebugUntilTracer is ServeDebugUntil with /debug/trace backed by
-// tracer.
-func ServeDebugUntilTracer(ctx context.Context, addr string, sink *Sink, tracer *trace.Tracer) (srv *http.Server, bound string, done <-chan struct{}, err error) {
-	srv, bound, err = ServeDebugTracer(addr, sink, tracer)
+// ServeDebug serves the debug endpoint the -debug-addr CLI flags start,
+// on addr (e.g. "localhost:6060"), until ctx is cancelled:
+//
+//	/metrics          Prometheus text exposition of sink's registry
+//	/debug/trace      tracer's span ring (see trace.Tracer.ServeHTTP)
+//	/debug/pprof/...  the standard net/http/pprof handlers
+//
+// A nil sink serves an empty exposition and a nil tracer an empty trace.
+// It returns the bound address, so addr may request port 0. On
+// cancellation the server drains in-flight requests for up to
+// shutdownGrace before forcing connections closed; done closes once it
+// has stopped, so a CLI can wait for it before exiting.
+func ServeDebug(ctx context.Context, addr string, sink *Sink, tracer *trace.Tracer) (bound string, done <-chan struct{}, err error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
-	ch := make(chan struct{})
+	srv := &http.Server{Handler: debugMux(sink, tracer)}
+	served := make(chan struct{})
 	go func() {
-		defer close(ch)
+		defer close(served)
+		// ErrServerClosed after Shutdown/Close is the expected exit.
+		_ = srv.Serve(ln)
+	}()
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
 		<-ctx.Done()
 		// The parent ctx is already cancelled here; deriving the drain
 		// deadline from it would skip the grace period entirely.
@@ -163,6 +52,28 @@ func ServeDebugUntilTracer(ctx context.Context, addr string, sink *Sink, tracer 
 			// Drain expired: force-close the stragglers.
 			_ = srv.Close()
 		}
+		<-served
 	}()
-	return srv, bound, ch, nil
+	return ln.Addr().String(), stopped, nil
+}
+
+// debugMux is ServeDebug's handler. The handlers read the sink and the
+// tracer through their own synchronization, so the mux serves while the
+// instrumented system runs.
+func debugMux(sink *Sink, tracer *trace.Tracer) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		pw := NewPromWriter()
+		if sink != nil && sink.Metrics != nil {
+			pw.AddSnapshot(sink.Metrics.Snapshot())
+		}
+		pw.WriteResponse(w)
+	})
+	mux.Handle("GET /debug/trace", tracer)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

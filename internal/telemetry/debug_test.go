@@ -1,4 +1,4 @@
-package telemetry_test
+package telemetry
 
 import (
 	"context"
@@ -6,14 +6,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"incbubbles/internal/telemetry"
 	"incbubbles/internal/trace"
 )
+
+// exactCounter is above 2^53, so only an exact uint64 rendering (no float
+// round trip) reproduces it.
+const exactCounter = 1<<53 + 1
 
 // get performs a request against the mux and returns status, content type
 // and body.
@@ -30,77 +34,45 @@ func get(t *testing.T, mux http.Handler, target string) (int, string, []byte) {
 	return res.StatusCode, res.Header.Get("Content-Type"), body
 }
 
+// TestDebugTelemetryEndpoint: the debug server's /metrics is the
+// Prometheus exposition of the sink's registry, with exact counters and
+// well-formed histograms.
 func TestDebugTelemetryEndpoint(t *testing.T) {
-	sink := telemetry.NewSink()
-	sink.Counter("distance.computed").Add(42)
-	h := sink.Metrics.Histogram("batch_seconds", []float64{1, 2, 4})
+	sink := NewSink()
+	sink.Counter(MetricDistanceComputed).Add(exactCounter)
+	h := sink.Histogram("batch_seconds", []float64{1, 2, 4})
 	for i := 0; i < 100; i++ {
 		h.Observe(1.5)
 	}
-	mux := telemetry.DebugMux(sink)
+	mux := debugMux(sink, nil)
 
-	code, ctype, body := get(t, mux, "/debug/telemetry")
-	if code != http.StatusOK || !strings.HasPrefix(ctype, "application/json") {
+	code, ctype, body := get(t, mux, "/metrics")
+	if code != http.StatusOK || !strings.HasPrefix(ctype, "text/plain; version=0.0.4") {
 		t.Fatalf("status=%d content-type=%q", code, ctype)
 	}
-	snap, err := telemetry.ParseSnapshot(body)
+	fams, err := ParseProm(strings.NewReader(string(body)))
 	if err != nil {
-		t.Fatalf("unparsable snapshot: %v\n%s", err, body)
+		t.Fatalf("unparsable exposition: %v\n%s", err, body)
 	}
-	if snap.Counters["distance.computed"] != 42 {
-		t.Fatalf("counter missing: %+v", snap.Counters)
+	ctr := fams["distance_computed"]
+	if ctr == nil || len(ctr.Points) != 1 || ctr.Points[0].Raw != strconv.FormatUint(exactCounter, 10) {
+		t.Fatalf("distance_computed did not round-trip exactly: %+v", ctr)
 	}
-	hs, ok := snap.Histograms["batch_seconds"]
-	if !ok {
-		t.Fatalf("histogram missing: %+v", snap.Histograms)
+	hist := fams["batch_seconds"]
+	if hist == nil || hist.Type != "histogram" {
+		t.Fatalf("histogram family missing or mistyped: %+v", hist)
 	}
-	// All observations sit in bucket (1,2]; every percentile must land there.
-	for name, p := range map[string]float64{"p50": hs.P50, "p95": hs.P95, "p99": hs.P99} {
-		if p <= 1 || p > 2 {
-			t.Errorf("%s = %g, want in (1,2]", name, p)
-		}
-	}
+	assertHistogramShape(t, hist, "", 100)
 }
 
-// TestDebugTelemetryNilSink: an empty snapshot, not a panic.
+// TestDebugTelemetryNilSink: a nil sink and a nil tracer serve an empty
+// exposition and an empty trace, not a panic.
 func TestDebugTelemetryNilSink(t *testing.T) {
-	mux := telemetry.DebugMux(nil)
-	for _, target := range []string{"/debug/telemetry", "/debug/events", "/debug/trace"} {
+	mux := debugMux(nil, nil)
+	for _, target := range []string{"/metrics", "/debug/trace", "/debug/trace?format=flame"} {
 		if code, _, _ := get(t, mux, target); code != http.StatusOK {
 			t.Errorf("%s on nil sink: status %d", target, code)
 		}
-	}
-}
-
-// TestDebugEventsEndpoint drives the ring past a small configured capacity
-// and requires the endpoint to report both the retained window and the
-// exact drop count.
-func TestDebugEventsEndpoint(t *testing.T) {
-	sink := telemetry.NewSinkOptions(telemetry.SinkOptions{EventCapacity: 4})
-	if got := sink.Events.Capacity(); got != 4 {
-		t.Fatalf("configured capacity = %d, want 4", got)
-	}
-	for i := 0; i < 10; i++ {
-		sink.Emit(telemetry.Event{Kind: telemetry.KindBatchApply, Batch: i})
-	}
-	mux := telemetry.DebugMux(sink)
-	code, _, body := get(t, mux, "/debug/events")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	var out struct {
-		Total   uint64            `json:"total"`
-		Dropped uint64            `json:"dropped"`
-		Events  []telemetry.Event `json:"events"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatalf("%v\n%s", err, body)
-	}
-	if out.Total != 10 || out.Dropped != 6 || len(out.Events) != 4 {
-		t.Fatalf("total=%d dropped=%d retained=%d, want 10/6/4", out.Total, out.Dropped, len(out.Events))
-	}
-	if out.Events[0].Batch != 6 {
-		t.Fatalf("oldest retained batch = %d, want 6 (drops evict oldest)", out.Events[0].Batch)
 	}
 }
 
@@ -112,7 +84,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	child.End()
 	parent.End()
 
-	mux := telemetry.DebugMuxTracer(telemetry.NewSink(), tr)
+	mux := debugMux(NewSink(), tr)
 	code, ctype, body := get(t, mux, "/debug/trace")
 	if code != http.StatusOK || !strings.HasPrefix(ctype, "application/json") {
 		t.Fatalf("status=%d content-type=%q", code, ctype)
@@ -149,7 +121,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 func TestDebugTraceCaptureWindow(t *testing.T) {
 	tr := trace.New(trace.Options{Capacity: 64})
 	tr.Start("before.window").End()
-	mux := telemetry.DebugMuxTracer(nil, tr)
+	mux := debugMux(nil, tr)
 
 	done := make(chan []byte, 1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -180,19 +152,19 @@ func TestDebugTraceCaptureWindow(t *testing.T) {
 	}
 }
 
-// TestDebugConcurrentCaptures hammers every endpoint while spans, events
-// and metrics are recorded concurrently; the race detector is the oracle.
+// TestDebugConcurrentCaptures hammers every endpoint while spans and
+// metrics are recorded concurrently; the race detector is the oracle.
 func TestDebugConcurrentCaptures(t *testing.T) {
-	sink := telemetry.NewSinkOptions(telemetry.SinkOptions{EventCapacity: 32})
+	sink := NewSink()
 	tr := trace.New(trace.Options{Capacity: 128})
-	mux := telemetry.DebugMuxTracer(sink, tr)
+	mux := debugMux(sink, tr)
 
 	stop := make(chan struct{})
 	var writers sync.WaitGroup
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
@@ -201,8 +173,8 @@ func TestDebugConcurrentCaptures(t *testing.T) {
 			sp := tr.Start("core.batch")
 			sp.Start("core.search").End()
 			sp.End()
-			sink.Emit(telemetry.Event{Kind: telemetry.KindBatchApply, Batch: i})
-			sink.Counter("distance.computed").Inc()
+			sink.Counter(MetricCoreBatches).Inc()
+			sink.Histogram(MetricPhaseSearchSeconds, SecondsBounds()).Observe(1e-4)
 		}
 	}()
 
@@ -212,7 +184,7 @@ func TestDebugConcurrentCaptures(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			targets := []string{
-				"/debug/telemetry", "/debug/events",
+				"/metrics",
 				"/debug/trace", "/debug/trace?format=flame", "/debug/trace?sec=1",
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -232,35 +204,77 @@ func TestDebugConcurrentCaptures(t *testing.T) {
 	writers.Wait()
 }
 
-// TestServeDebugUntilTracer boots the real server on a loopback port,
-// scrapes it over TCP, then cancels and waits for the drain.
-func TestServeDebugUntilTracer(t *testing.T) {
-	sink := telemetry.NewSink()
-	sink.Counter("distance.computed").Add(7)
+// TestServeDebug boots the real server on a loopback port — once wired
+// to a sink and a tracer, once to neither — scrapes each over TCP, then
+// cancels and requires both to shut down.
+func TestServeDebug(t *testing.T) {
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	fetch := func(url string) (int, []byte) {
+		t.Helper()
+		res, err := client.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		return res.StatusCode, body
+	}
+
+	sink := NewSink()
+	sink.Counter(MetricDistanceComputed).Add(exactCounter)
 	tr := trace.New(trace.Options{Capacity: 16})
 	tr.Start("core.batch").End()
-
 	ctx, cancel := context.WithCancel(context.Background())
-	_, bound, done, err := telemetry.ServeDebugUntilTracer(ctx, "127.0.0.1:0", sink, tr)
+	defer cancel()
+	bound, done, err := ServeDebug(ctx, "127.0.0.1:0", sink, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := http.Get("http://" + bound + "/debug/trace")
+	nilCtx, nilCancel := context.WithCancel(context.Background())
+	defer nilCancel()
+	nilBound, nilDone, err := ServeDebug(nilCtx, "127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(res.Body)
-	res.Body.Close()
-	if err != nil || res.StatusCode != http.StatusOK {
-		t.Fatalf("scrape failed: status=%d err=%v", res.StatusCode, err)
+
+	code, body := fetch("http://" + bound + "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
 	}
-	if !strings.Contains(string(body), "core.batch") {
-		t.Fatalf("span missing from scrape:\n%s", body)
+	fams, err := ParseProm(strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v\n%s", err, body)
 	}
+	want := strconv.FormatUint(sink.Counter(MetricDistanceComputed).Value(), 10)
+	if ctr := fams["distance_computed"]; ctr == nil || len(ctr.Points) != 1 || ctr.Points[0].Raw != want {
+		t.Fatalf("distance_computed = %+v, want exactly %s", ctr, want)
+	}
+	if code, body := fetch("http://" + bound + "/debug/trace"); code != http.StatusOK || !strings.Contains(string(body), "core.batch") {
+		t.Fatalf("/debug/trace: status %d body %.200s", code, body)
+	}
+	if code, _ := fetch("http://" + bound + "/debug/pprof/cmdline"); code != http.StatusOK {
+		t.Fatalf("/debug/pprof/cmdline: status %d", code)
+	}
+	for _, path := range []string{"/metrics", "/debug/trace"} {
+		if code, _ := fetch("http://" + nilBound + path); code != http.StatusOK {
+			t.Fatalf("%s with nil sink and tracer: status %d", path, code)
+		}
+	}
+
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not drain after cancel")
+	nilCancel()
+	for _, ch := range []<-chan struct{}{done, nilDone} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("server did not shut down after cancel")
+		}
+	}
+	if res, err := client.Get("http://" + bound + "/metrics"); err == nil {
+		res.Body.Close()
+		t.Fatal("server still answering after shutdown")
 	}
 }

@@ -2,8 +2,9 @@ package telemetry_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"reflect"
+	"encoding/binary"
+	"math"
+	"strconv"
 	"testing"
 
 	"incbubbles/internal/bubble"
@@ -44,62 +45,103 @@ func FuzzAudit(f *testing.F) {
 	})
 }
 
-// FuzzSnapshot asserts ParseSnapshot never panics and that any snapshot it
-// accepts re-marshals to a stable fixed point (parse∘marshal is identity
-// from the first marshal on).
-func FuzzSnapshot(f *testing.F) {
-	r := telemetry.NewRegistry()
-	r.Counter("distance.computed").Add(12)
-	r.Gauge("core.bubbles").Set(3.5)
-	r.Histogram("core.phase.search_seconds", telemetry.SecondsBounds()).Observe(0.01)
-	f.Add([]byte(r.String()))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"counters":{"a":1},"gauges":{"g":-2.5}}`))
-	f.Add([]byte(`{"histograms":{"h":{"bounds":[1,2],"counts":[0,1,2],"count":3,"sum":4.5}}}`))
-	f.Add([]byte(`{"counters":null}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := telemetry.ParseSnapshot(data)
-		if err != nil {
-			return
+// FuzzPromRoundTrip renders fuzzed counters, gauges (NaN and ±Inf
+// included) and histograms, under fuzzed metric names and label values,
+// through PromWriter and parses the page back with ParseProm. Counters
+// must come back as their exact decimal text, gauges bit-equal (NaN as
+// NaN), label values unchanged, and histogram buckets cumulative with
+// the one +Inf bucket equal to _count. ParseProm must also never panic
+// on the raw fuzz bytes.
+func FuzzPromRoundTrip(f *testing.F) {
+	obs := func(bounds []float64, vs ...float64) []byte {
+		out := []byte{byte(len(bounds))}
+		for _, v := range append(bounds, vs...) {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 		}
-		out, err := json.Marshal(snap)
-		if err != nil {
-			// Non-finite gauge values parsed from nothing: impossible via
-			// JSON input, so marshal must succeed.
-			t.Fatalf("accepted snapshot failed to marshal: %v", err)
-		}
-		again, err := telemetry.ParseSnapshot(out)
-		if err != nil {
-			t.Fatalf("marshal produced unparsable output: %v", err)
-		}
-		out2, err := json.Marshal(again)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, out2) {
-			t.Fatalf("snapshot not a fixed point:\n%s\nvs\n%s", out, out2)
-		}
-	})
-}
+		return out
+	}
+	f.Add("distance.computed", "alpha", uint64(1234567890123), 3.5, obs([]float64{1e-3, 1e-1}, 2e-3, 0.2, 50))
+	f.Add("server.queue_depth", "a\\b\"c\nd", uint64(math.MaxUint64), math.NaN(), obs(nil, 1))
+	f.Add("9lives", "", uint64(0), math.Inf(1), obs([]float64{math.Inf(1)}, math.Inf(1), math.NaN()))
+	f.Add("a-b c", "\x00\xff}\"{", uint64(1), math.Inf(-1), obs([]float64{-1, math.Inf(-1)}, math.Inf(-1), -1))
+	f.Add("ok:name_1", "le", uint64(1<<53+1), math.Copysign(0, -1), []byte("# TYPE x counter\nx{a=\"\\\"\"} 1\n"))
+	f.Fuzz(func(t *testing.T, name, label string, counter uint64, gauge float64, raw []byte) {
+		_, _ = telemetry.ParseProm(bytes.NewReader(raw))
 
-// FuzzEventRoundTrip asserts events round-trip through their JSON encoding
-// for every valid kind.
-func FuzzEventRoundTrip(f *testing.F) {
-	f.Add(uint8(0), 1, 2, 3, 4)
-	f.Add(uint8(6), -1, 0, 0, 100)
-	f.Fuzz(func(t *testing.T, kind uint8, batch, a, b, n int) {
-		e := telemetry.Event{Kind: telemetry.Kind(kind), Batch: batch, A: a, B: b, N: n}
-		raw, err := json.Marshal(e)
+		reg := telemetry.NewRegistry()
+		reg.Counter(name + ".c").Add(counter)
+		reg.Gauge(name + ".g").Set(gauge)
+		var bounds []float64
+		if len(raw) > 0 {
+			n := int(raw[0]) % 8
+			raw = raw[1:]
+			for ; n > 0 && len(raw) >= 8; n-- {
+				bounds = append(bounds, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+				raw = raw[8:]
+			}
+		}
+		h := reg.Histogram(name+".h", bounds)
+		for ; len(raw) >= 8; raw = raw[8:] {
+			h.Observe(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+		}
+
+		w := telemetry.NewPromWriter()
+		w.AddSnapshot(reg.Snapshot(), telemetry.Label{Name: "tenant", Value: label})
+		var page bytes.Buffer
+		if _, err := w.WriteTo(&page); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		fams, err := telemetry.ParseProm(bytes.NewReader(page.Bytes()))
 		if err != nil {
-			// Kinds outside the named range have no text form.
-			return
+			t.Fatalf("ParseProm rejected the writer's page: %v\n%s", err, page.Bytes())
 		}
-		var back telemetry.Event
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatalf("marshalled event does not unmarshal: %v\n%s", err, raw)
+		point := func(suffix string) telemetry.PromPoint {
+			t.Helper()
+			fam := fams[telemetry.PromName(name+suffix)]
+			if fam == nil || len(fam.Points) != 1 {
+				t.Fatalf("family %s: %+v\n%s", telemetry.PromName(name+suffix), fam, page.Bytes())
+			}
+			if got := fam.Points[0].Labels["tenant"]; got != label {
+				t.Fatalf("label value %q came back as %q", label, got)
+			}
+			return fam.Points[0]
 		}
-		if !reflect.DeepEqual(e, back) {
-			t.Fatalf("event round-trip: %+v != %+v", e, back)
+		if got := point(".c").Raw; got != strconv.FormatUint(counter, 10) {
+			t.Fatalf("counter %d came back as %q", counter, got)
+		}
+		if got := point(".g").Value; math.Float64bits(got) != math.Float64bits(gauge) && !(math.IsNaN(gauge) && math.IsNaN(got)) {
+			t.Fatalf("gauge %v came back as %v", gauge, got)
+		}
+
+		hist := fams[telemetry.PromName(name+".h")]
+		if hist == nil || hist.Type != "histogram" {
+			t.Fatalf("histogram family missing: %+v", hist)
+		}
+		var prev uint64
+		var inf, count string
+		for _, p := range hist.Points {
+			if got := p.Labels["tenant"]; got != label {
+				t.Fatalf("histogram label value %q came back as %q", label, got)
+			}
+			switch p.Suffix {
+			case "_bucket":
+				if inf != "" {
+					t.Fatalf("bucket after le=+Inf: %+v", hist.Points)
+				}
+				v, err := strconv.ParseUint(p.Raw, 10, 64)
+				if err != nil || v < prev {
+					t.Fatalf("bucket %q not cumulative after %d: %v", p.Raw, prev, err)
+				}
+				prev = v
+				if p.Labels["le"] == "+Inf" {
+					inf = p.Raw
+				}
+			case "_count":
+				count = p.Raw
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("+Inf bucket %q != _count %q", inf, count)
 		}
 	})
 }

@@ -1,10 +1,9 @@
 // Package telemetry is the observability layer of the repository: a
 // lightweight, allocation-conscious metrics registry (counters, gauges,
-// bounded histograms), a bounded structured event log for the maintenance
-// operations the paper's evaluation counts (batch-apply, merge, split,
-// reseed), an invariant auditor that machine-checks the sufficient-
-// statistics contracts of §3–§4 after every batch, and an optional debug
-// HTTP endpoint serving expvar-style snapshots plus net/http/pprof.
+// bounded histograms), its Prometheus text exposition, an invariant
+// auditor that machine-checks the sufficient-statistics contracts of
+// §3–§4 after every batch, and an optional debug HTTP endpoint serving
+// /metrics, /debug/trace and net/http/pprof.
 //
 // The paper's headline claims are quantitative — distance-calculation
 // counts (Figures 10–11), the β distribution (§4.1), merge/split frequency
@@ -18,7 +17,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 	"sync"
@@ -72,10 +70,13 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits
 }
 
+// newHistogram sorts and deduplicates bounds and drops NaN and +Inf: the
+// overflow bucket already is the +Inf bucket, and a second one would
+// repeat the le="+Inf" series in the exposition.
 func newHistogram(bounds []float64) *Histogram {
 	bs := make([]float64, 0, len(bounds))
 	for _, b := range bounds {
-		if !math.IsNaN(b) {
+		if !math.IsNaN(b) && !math.IsInf(b, 1) {
 			bs = append(bs, b)
 		}
 	}
@@ -122,9 +123,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
-	s.P50 = s.Quantile(0.50)
-	s.P95 = s.Quantile(0.95)
-	s.P99 = s.Quantile(0.99)
 	return s
 }
 
@@ -200,70 +198,24 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// HistogramSnapshot is the serializable state of one histogram. Counts has
-// len(Bounds)+1 entries; the final entry is the overflow bucket. P50/P95/P99
-// are bucket-interpolated estimates computed at snapshot time (see Quantile);
-// they are derived fields, carried so the debug endpoint and offline report
-// readers need no bucket math of their own.
+// HistogramSnapshot is the state of one histogram. Counts has
+// len(Bounds)+1 entries; the final entry is the overflow bucket.
 type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds,omitempty"`
-	Counts []uint64  `json:"counts"`
-	Count  uint64    `json:"count"`
-	Sum    float64   `json:"sum"`
-	P50    float64   `json:"p50,omitempty"`
-	P95    float64   `json:"p95,omitempty"`
-	P99    float64   `json:"p99,omitempty"`
+	Bounds []float64
+	Counts []uint64
+	Count  uint64
+	Sum    float64
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) from the bucket counts
-// with linear interpolation inside the target bucket, the standard
-// fixed-bucket estimator: the first bucket's lower edge is 0, and ranks
-// landing in the overflow bucket clamp to the largest bound (the histogram
-// records nothing above it). An empty histogram reports 0 — never NaN, so
-// snapshots always marshal.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 || len(s.Counts) != len(s.Bounds)+1 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i == len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		upper := s.Bounds[i]
-		if upper < lower {
-			// All-negative bounds: the zero lower edge is above the
-			// bucket; the bound itself is the only defensible estimate.
-			return upper
-		}
-		return lower + (upper-lower)*(rank-prev)/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Snapshot is a point-in-time copy of a registry, in the JSON shape the
-// debug endpoint serves. Metrics are read one at a time, so a snapshot
-// taken during concurrent updates is internally consistent per metric but
-// not across metrics — the standard expvar contract.
+// Snapshot is a point-in-time copy of a registry, the input of a
+// Prometheus exposition (PromWriter.AddSnapshot). Metrics are read one at
+// a time, so a snapshot taken during concurrent updates is internally
+// consistent per metric but not across metrics — the standard expvar
+// contract.
 type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]uint64
+	Gauges     map[string]float64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot captures every registered metric.
@@ -290,31 +242,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// String renders the snapshot as JSON (expvar.Var-compatible). Map keys
-// are emitted sorted by encoding/json, so two snapshots of identical state
-// serialize byte-identically.
-func (r *Registry) String() string {
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return "{}" // a gauge holding NaN/Inf is not representable in JSON
-	}
-	return string(data)
-}
-
-// MarshalJSON makes Snapshot its own canonical wire form.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	type plain Snapshot // avoid recursion
-	return json.Marshal(plain(s))
-}
-
-// ParseSnapshot decodes a snapshot previously serialized with
-// json.Marshal / Registry.String.
-func ParseSnapshot(data []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
 }

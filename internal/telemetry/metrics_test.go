@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -50,7 +48,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramSanitizesBounds(t *testing.T) {
-	h := newHistogram([]float64{10, 1, 10, math.NaN(), 5})
+	h := newHistogram([]float64{10, 1, 10, math.NaN(), 5, math.Inf(1)})
 	if want := []float64{1, 5, 10}; !reflect.DeepEqual(h.bounds, want) {
 		t.Fatalf("bounds = %v, want %v", h.bounds, want)
 	}
@@ -82,109 +80,9 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("distance.computed").Add(42)
-	r.Gauge("core.bubbles").Set(100)
-	r.Histogram("core.phase.search_seconds", SecondsBounds()).Observe(0.002)
-	first := r.String()
-	snap, err := ParseSnapshot([]byte(first))
-	if err != nil {
-		t.Fatalf("ParseSnapshot: %v", err)
-	}
-	again, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != first {
-		t.Fatalf("snapshot did not round-trip:\n%s\nvs\n%s", first, again)
-	}
-	if snap.Counters["distance.computed"] != 42 {
-		t.Fatalf("parsed counters = %v", snap.Counters)
-	}
-}
-
-func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(3)
-	for i := 0; i < 5; i++ {
-		l.Append(Event{Kind: KindMerge, A: i})
-	}
-	l.Append(Event{Kind: KindSplit})
-	events := l.Events()
-	if len(events) != 3 {
-		t.Fatalf("retained %d events, want 3", len(events))
-	}
-	// Oldest first; three merges were evicted.
-	if events[0].A != 3 || events[2].Kind != KindSplit {
-		t.Fatalf("unexpected ring contents: %v", events)
-	}
-	if got := l.Total(); got != 6 {
-		t.Fatalf("total = %d, want 6", got)
-	}
-	if got := l.Dropped(); got != 3 {
-		t.Fatalf("dropped = %d, want 3", got)
-	}
-	if got := l.Count(KindMerge); got != 5 {
-		t.Fatalf("merge count = %d, want 5", got)
-	}
-	for i, e := range events {
-		if e.Seq != uint64(i+3) {
-			t.Fatalf("event %d has seq %d", i, e.Seq)
-		}
-	}
-}
-
 func TestNilSinkIsNoOp(t *testing.T) {
 	var s *Sink
-	s.Emit(Event{Kind: KindMerge})
 	s.Counter("x").Inc()
 	s.Gauge("y").Set(1)
 	s.Histogram("z", CountBounds()).Observe(1)
-}
-
-func TestDebugMux(t *testing.T) {
-	sink := NewSink()
-	sink.Counter(MetricCoreBatches).Add(7)
-	sink.Emit(Event{Kind: KindBatchApply, Batch: 0, N: 10})
-	mux := DebugMux(sink)
-
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/telemetry", nil))
-	if rec.Code != 200 {
-		t.Fatalf("telemetry status %d", rec.Code)
-	}
-	snap, err := ParseSnapshot(rec.Body.Bytes())
-	if err != nil {
-		t.Fatalf("telemetry body not a snapshot: %v", err)
-	}
-	if snap.Counters[MetricCoreBatches] != 7 {
-		t.Fatalf("snapshot counters = %v", snap.Counters)
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/events", nil))
-	var body struct {
-		Total  uint64  `json:"total"`
-		Events []Event `json:"events"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("events body: %v", err)
-	}
-	if body.Total != 1 || len(body.Events) != 1 || body.Events[0].N != 10 {
-		t.Fatalf("events = %+v", body)
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
-	if rec.Code != 200 {
-		t.Fatalf("pprof status %d", rec.Code)
-	}
-}
-
-func TestKindString(t *testing.T) {
-	for k := Kind(0); k < numKinds; k++ {
-		if s := k.String(); s == "" || s[0] == 'K' {
-			t.Fatalf("kind %d has no name: %q", k, s)
-		}
-	}
 }

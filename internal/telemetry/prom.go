@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,6 +178,20 @@ func (w *PromWriter) WriteTo(out io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
+// WriteResponse serves the exposition as one scrape response. The page
+// is rendered into a buffer first, so a writer error (a family added
+// under two types) becomes a clean 500, never a torn page a parser
+// chokes on halfway through.
+func (w *PromWriter) WriteResponse(rw http.ResponseWriter) {
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = rw.Write(buf.Bytes())
+}
+
 func cloneLabels(labels []Label) []Label {
 	if len(labels) == 0 {
 		return nil
@@ -247,7 +263,6 @@ var promHelpText = map[string]string{
 	MetricServerHTTP503:          "Requests rejected with 503 (draining or tenant degraded).",
 	MetricServerLadderState:      "Degradation-ladder state: 0 healthy, 1 degraded; the reason label names the rung.",
 	MetricServerCheckpointAge:    "Seconds since the tenant's last durable checkpoint (-1 before the first).",
-	MetricEventsDropped:          "Telemetry events evicted from the bounded event ring.",
 	MetricTraceSpansDropped:      "Spans evicted from the bounded trace ring.",
 	MetricWALFsyncSeconds:        "WAL fsync latency in seconds.",
 	MetricWALCheckpointSeconds:   "WAL checkpoint write latency in seconds.",

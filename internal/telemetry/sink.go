@@ -85,12 +85,11 @@ const (
 
 	// Scrape-synthesized series: not resolved through a Sink but written
 	// directly by the /metrics exposition from live component state (the
-	// degradation ladder, the WAL's checkpoint clock, the bounded-ring
-	// drop counters). Declared here so every exported series still comes
+	// degradation ladder, the WAL's checkpoint clock, the span ring's
+	// drop counter). Declared here so every exported series still comes
 	// from this one catalog block (the metriccatalog analyzer pins that).
 	MetricServerLadderState   = "server.ladder_state"
 	MetricServerCheckpointAge = "server.last_checkpoint_age_seconds"
-	MetricEventsDropped       = "telemetry.events_dropped"
 	MetricTraceSpansDropped   = "trace.spans_dropped"
 )
 
@@ -106,40 +105,15 @@ func CountBounds() []float64 {
 	return []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
 }
 
-// Sink bundles the metrics registry and the event log one instrumented
-// component reports into. A nil *Sink is a valid no-op receiver, so call
-// sites need no guards.
+// Sink is the metrics registry one instrumented component reports into.
+// A nil *Sink is a valid no-op receiver, so call sites need no guards.
 type Sink struct {
 	Metrics *Registry
-	Events  *EventLog
 }
 
-// NewSink returns a sink with a fresh registry and a default-capacity
-// event log.
+// NewSink returns a sink with a fresh registry.
 func NewSink() *Sink {
-	return NewSinkOptions(SinkOptions{})
-}
-
-// SinkOptions sizes a sink's bounded components.
-type SinkOptions struct {
-	// EventCapacity bounds the event ring: once full, appends evict the
-	// oldest event and EventLog.Dropped counts the eviction. ≤0 selects
-	// DefaultEventCapacity.
-	EventCapacity int
-}
-
-// NewSinkOptions returns a sink with a fresh registry and an event log
-// sized per opts.
-func NewSinkOptions(opts SinkOptions) *Sink {
-	return &Sink{Metrics: NewRegistry(), Events: NewEventLog(opts.EventCapacity)}
-}
-
-// Emit appends e to the event log. Safe on a nil sink.
-func (s *Sink) Emit(e Event) {
-	if s == nil || s.Events == nil {
-		return
-	}
-	s.Events.Append(e)
+	return &Sink{Metrics: NewRegistry()}
 }
 
 // Counter resolves a counter handle. Safe on a nil sink: returns a

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
 )
 
 // ChromeEvent is one entry of the Chrome trace-event format ("X"
@@ -162,4 +165,44 @@ func WriteFlame(w io.Writer, recs []Record) error {
 // values).
 func fmtNanos(ns int64) string {
 	return fmt.Sprintf("%.3fms", float64(ns)/1e6)
+}
+
+// maxCaptureSeconds bounds how long a ?sec=N capture blocks: a scrape
+// must not pin a handler goroutine indefinitely.
+const maxCaptureSeconds = 60
+
+// ServeHTTP serves the span ring: the one trace endpoint behind both the
+// CLIs' /debug/trace and bubbled's /tenants/{t}/debug/trace.
+//
+//	GET                 Chrome trace-event JSON of the retained spans
+//	GET ?sec=N          block N seconds (cap 60), then return the spans
+//	                    started in that window; cancelling the request
+//	                    ends the wait early and returns what accumulated
+//	GET ?format=flame   plain-text flame summary instead of JSON
+//
+// A nil Tracer serves an empty trace.
+func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	var recs []Record
+	if sec, err := strconv.Atoi(q.Get("sec")); err == nil && sec > 0 {
+		since := t.Now()
+		select {
+		case <-time.After(time.Duration(min(sec, maxCaptureSeconds)) * time.Second):
+		case <-r.Context().Done():
+		}
+		recs = t.SnapshotSince(since)
+	} else {
+		recs = t.Snapshot()
+	}
+	var err error
+	if q.Get("format") == "flame" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		err = WriteFlame(w, recs)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		err = WriteChrome(w, recs)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }

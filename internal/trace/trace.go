@@ -5,7 +5,8 @@
 // vecmath.Counter, the exact distance-computation delta that occurred
 // between Start and End. Recorded spans export as Chrome trace-event
 // JSON (loadable in Perfetto / chrome://tracing) or as a plain-text
-// flame summary (see export.go).
+// flame summary, and Tracer.ServeHTTP serves them over HTTP (see
+// export.go).
 //
 // The tracer is designed to be left wired in production code paths:
 //

@@ -17,6 +17,7 @@ type Counter struct {
 
 // Distance computes the Euclidean distance between p and q and counts one
 // computation.
+//
 //lint:hotpath
 func (c *Counter) Distance(p, q Point) float64 {
 	atomic.AddUint64(&c.computed, 1)
@@ -26,6 +27,7 @@ func (c *Counter) Distance(p, q Point) float64 {
 // SquaredDistance computes the squared distance, counting one computation.
 // A squared distance has the same cost profile as a full distance (one pass
 // over the coordinates), so it counts identically.
+//
 //lint:hotpath
 func (c *Counter) SquaredDistance(p, q Point) float64 {
 	atomic.AddUint64(&c.computed, 1)
@@ -35,10 +37,12 @@ func (c *Counter) SquaredDistance(p, q Point) float64 {
 // Prune records that one distance computation was avoided by a triangle-
 // inequality comparison (a lookup plus comparison rather than a coordinate
 // scan).
+//
 //lint:hotpath
 func (c *Counter) Prune() { atomic.AddUint64(&c.pruned, 1) }
 
 // PruneN records n avoided computations at once.
+//
 //lint:hotpath
 func (c *Counter) PruneN(n int) {
 	if n > 0 {
@@ -68,6 +72,7 @@ func (c *Counter) PruneFraction() float64 {
 
 // Add merges externally accumulated counts into the counter — the merge
 // point for the per-worker Tally values of a parallel assignment phase.
+//
 //lint:hotpath
 func (c *Counter) Add(computed, pruned uint64) {
 	atomic.AddUint64(&c.computed, computed)
@@ -98,6 +103,7 @@ type Tally struct {
 
 // Distance computes the Euclidean distance between p and q and tallies one
 // computation.
+//
 //lint:hotpath
 func (t *Tally) Distance(p, q Point) float64 {
 	t.Computed++
@@ -105,6 +111,7 @@ func (t *Tally) Distance(p, q Point) float64 {
 }
 
 // SquaredDistance computes the squared distance, tallying one computation.
+//
 //lint:hotpath
 func (t *Tally) SquaredDistance(p, q Point) float64 {
 	t.Computed++
@@ -112,10 +119,12 @@ func (t *Tally) SquaredDistance(p, q Point) float64 {
 }
 
 // Prune tallies one avoided distance computation.
+//
 //lint:hotpath
 func (t *Tally) Prune() { t.Pruned++ }
 
 // PruneN tallies n avoided computations at once.
+//
 //lint:hotpath
 func (t *Tally) PruneN(n int) {
 	if n > 0 {
@@ -127,6 +136,7 @@ func (t *Tally) PruneN(n int) {
 func (t *Tally) Total() uint64 { return t.Computed + t.Pruned }
 
 // AddTo folds the tally into c and zeroes the tally.
+//
 //lint:hotpath
 func (t *Tally) AddTo(c *Counter) {
 	c.Add(t.Computed, t.Pruned)

@@ -90,6 +90,7 @@ func (p Point) SubInPlace(q Point) {
 }
 
 // Dot returns the inner product of p and q.
+//
 //lint:hotpath
 func (p Point) Dot(q Point) float64 {
 	mustSameDim(p, q)
@@ -101,6 +102,7 @@ func (p Point) Dot(q Point) float64 {
 }
 
 // Norm2 returns the squared Euclidean norm of p.
+//
 //lint:hotpath
 func (p Point) Norm2() float64 {
 	var s float64
@@ -111,6 +113,7 @@ func (p Point) Norm2() float64 {
 }
 
 // Norm returns the Euclidean norm of p.
+//
 //lint:hotpath
 func (p Point) Norm() float64 { return math.Sqrt(p.Norm2()) }
 
@@ -139,6 +142,7 @@ func mustSameDim(p, q Point) {
 // SquaredDistance returns the squared Euclidean distance between p and q
 // without touching any counter. Use Counter.Distance in code paths whose
 // distance-computation volume is part of a reported experiment.
+//
 //lint:hotpath
 func SquaredDistance(p, q Point) float64 {
 	mustSameDim(p, q)
@@ -151,12 +155,14 @@ func SquaredDistance(p, q Point) float64 {
 }
 
 // Distance returns the Euclidean distance between p and q.
+//
 //lint:hotpath
 func Distance(p, q Point) float64 { return math.Sqrt(SquaredDistance(p, q)) }
 
 // ManhattanDistance returns the L1 distance between p and q. It is not used
 // by the core algorithms (the paper works in Euclidean space) but is exposed
 // for downstream users of the summaries.
+//
 //lint:hotpath
 func ManhattanDistance(p, q Point) float64 {
 	mustSameDim(p, q)
@@ -168,6 +174,7 @@ func ManhattanDistance(p, q Point) float64 {
 }
 
 // ChebyshevDistance returns the L∞ distance between p and q.
+//
 //lint:hotpath
 func ChebyshevDistance(p, q Point) float64 {
 	mustSameDim(p, q)

@@ -50,8 +50,8 @@ type Options struct {
 	// owned by the log (a simulated crash is never retried — fail-stop —
 	// and retries are counted into wal.checkpoint_retries).
 	CheckpointRetry retry.Policy
-	// Telemetry receives the wal.* metrics and the durability events
-	// (checkpoint, wal-truncate, quarantine, recover). Optional.
+	// Telemetry receives the wal.* metrics (checkpoints, truncations,
+	// quarantines, replayed batches, retries). Optional.
 	Telemetry *telemetry.Sink
 	// Failpoints threads a fault-injection registry through every I/O
 	// boundary of the layer. Optional; nil evaluates points as disarmed.
@@ -112,7 +112,6 @@ type Log struct {
 	dir    string
 	opts   Options
 	dim    int
-	sink   *telemetry.Sink
 	fail   *failpoint.Registry
 	tracer *trace.Tracer
 	m      walMetrics
@@ -201,7 +200,6 @@ func newLog(dim int, opts Options) (*Log, error) {
 		dir:    opts.Dir,
 		opts:   opts,
 		dim:    dim,
-		sink:   opts.Telemetry,
 		fail:   opts.Failpoints,
 		tracer: opts.Tracer,
 		m:      newWALMetrics(opts.Telemetry),
@@ -244,13 +242,6 @@ func (l *Log) poison(err error) error {
 		l.poisoned = fmt.Errorf("%w: %w", ErrPoisoned, err)
 	}
 	return err
-}
-
-func (l *Log) emit(e telemetry.Event) {
-	if l.sink == nil {
-		return
-	}
-	l.sink.Emit(e)
 }
 
 // BeforeApply implements core.Durability: it makes the batch durable
@@ -536,7 +527,6 @@ func (l *Log) writeCheckpoint(w *ckptWrite) error {
 	l.m.checkpointBytes.Add(uint64(len(w.data)))
 	l.m.checkpointSeconds.Observe(time.Since(w.start).Seconds())
 	l.lastCkpt.Store(wallNanos())
-	l.emit(telemetry.Event{Kind: telemetry.KindCheckpoint, Batch: int(w.ordinal), A: int(w.ordinal), N: len(w.data)})
 	return nil
 }
 
@@ -553,7 +543,6 @@ func (l *Log) checkpointRetryPolicy() retry.Policy {
 	p.OnAttempt = func(a retry.Attempt) {
 		if !a.Last {
 			l.m.ckptRetries.Inc()
-			l.emit(telemetry.Event{Kind: telemetry.KindRetry, A: a.N, N: int(a.Delay)})
 		}
 	}
 	return p

@@ -10,7 +10,6 @@ import (
 
 	"incbubbles/internal/core"
 	"incbubbles/internal/dataset"
-	"incbubbles/internal/telemetry"
 	"incbubbles/internal/trace"
 )
 
@@ -81,8 +80,7 @@ type RecoveredState struct {
 // every batch's randomness from (seed, ordinal).
 func Resume(coreOpts core.Options, walOpts Options) (*RecoveredState, error) {
 	walOpts = walOpts.withDefaults()
-	sink := walOpts.Telemetry
-	m := newWALMetrics(sink)
+	m := newWALMetrics(walOpts.Telemetry)
 	rsp := walOpts.Tracer.Start("wal.recover")
 	defer rsp.End()
 	ckpts, segs, err := listState(walOpts.Dir)
@@ -94,7 +92,7 @@ func Resume(coreOpts core.Options, walOpts Options) (*RecoveredState, error) {
 	}
 	ssp := rsp.Start("wal.scan")
 	ssp.SetInt(trace.AttrCount, int64(len(segs)))
-	records, err := scanAndRepair(segs, sink, m)
+	records, err := scanAndRepair(segs, m)
 	ssp.End()
 	if err != nil {
 		return nil, err
@@ -112,7 +110,7 @@ func Resume(coreOpts core.Options, walOpts Options) (*RecoveredState, error) {
 		// removes at least one record, so the loop terminates.
 		var rf *replayFault
 		for errors.As(err, &rf) {
-			if rerr := truncateAtFault(rf, records, &segs, sink, m); rerr != nil {
+			if rerr := truncateAtFault(rf, records, &segs, m); rerr != nil {
 				err = errors.Join(err, rerr)
 				break
 			}
@@ -122,7 +120,7 @@ func Resume(coreOpts core.Options, walOpts Options) (*RecoveredState, error) {
 			return st, nil
 		}
 		fails = append(fails, fmt.Errorf("%s: %w", ckpts[i].path, err))
-		quarantine(ckpts[i].path, sink, m)
+		quarantine(ckpts[i].path, m)
 	}
 	return nil, fmt.Errorf("wal: no usable checkpoint in %s: %w", walOpts.Dir, errors.Join(fails...))
 }
@@ -149,19 +147,16 @@ func (f *replayFault) Unwrap() error { return f.err }
 // segment is quarantined (its records follow the removed ordinal and can
 // no longer follow any history the rebuilt log will write), and the
 // in-memory record map and segment list are trimmed to match the disk.
-func truncateAtFault(rf *replayFault, records map[uint64]record, segs *[]fileRef, sink *telemetry.Sink, m walMetrics) error {
+func truncateAtFault(rf *replayFault, records map[uint64]record, segs *[]fileRef, m walMetrics) error {
 	if err := os.Truncate(rf.seg, rf.off); err != nil {
 		return fmt.Errorf("wal: truncating %s at replay fault: %w", rf.seg, err)
 	}
 	m.truncations.Inc()
-	if sink != nil {
-		sink.Emit(telemetry.Event{Kind: telemetry.KindWALTruncate, Batch: int(rf.ordinal), A: int(rf.off)})
-	}
 	keep := (*segs)[:0]
 	for _, s := range *segs {
 		// Zero-padded names make lexical order the ordinal order.
 		if s.path > rf.seg {
-			quarantine(s.path, sink, m)
+			quarantine(s.path, m)
 			continue
 		}
 		keep = append(keep, s)
@@ -179,7 +174,7 @@ func truncateAtFault(rf *replayFault, records map[uint64]record, segs *[]fileRef
 // repairs damage in place: a segment with a torn or corrupt tail is
 // truncated to its valid prefix, and a segment whose magic is wrong is
 // quarantined wholesale.
-func scanAndRepair(segs []fileRef, sink *telemetry.Sink, m walMetrics) (map[uint64]record, error) {
+func scanAndRepair(segs []fileRef, m walMetrics) (map[uint64]record, error) {
 	records := make(map[uint64]record)
 	for _, seg := range segs {
 		data, err := os.ReadFile(seg.path)
@@ -188,7 +183,7 @@ func scanAndRepair(segs []fileRef, sink *telemetry.Sink, m walMetrics) (map[uint
 		}
 		recs, validLen, tailErr := scanSegment(data)
 		if errors.Is(tailErr, ErrBadMagic) {
-			quarantine(seg.path, sink, m)
+			quarantine(seg.path, m)
 			continue
 		}
 		if tailErr != nil {
@@ -196,10 +191,6 @@ func scanAndRepair(segs []fileRef, sink *telemetry.Sink, m walMetrics) (map[uint
 				return nil, fmt.Errorf("wal: truncating %s: %w", seg.path, err)
 			}
 			m.truncations.Inc()
-			if sink != nil {
-				sink.Emit(telemetry.Event{Kind: telemetry.KindWALTruncate,
-					A: validLen, N: len(data) - validLen})
-			}
 		}
 		for _, rec := range recs {
 			rec.seg = seg.path
@@ -270,10 +261,6 @@ func tryRecover(ck fileRef, records map[uint64]record, coreOpts core.Options, wa
 	// Count the replayed suffix toward the checkpoint cadence so a long
 	// replay is re-checkpointed promptly instead of re-replayed next time.
 	l.sinceCkpt = replayed
-	if walOpts.Telemetry != nil {
-		walOpts.Telemetry.Emit(telemetry.Event{Kind: telemetry.KindRecover,
-			Batch: int(cp.ordinal), A: replayed, N: db.Len()})
-	}
 	return &RecoveredState{
 		Summarizer: s,
 		DB:         db,
@@ -334,10 +321,7 @@ func applyToDB(db *dataset.DB, batch dataset.Batch) (dataset.Batch, error) {
 
 // quarantine renames a rejected file aside with quarantineSuffix so an
 // operator can inspect it; recovery never trusts or deletes it again.
-func quarantine(path string, sink *telemetry.Sink, m walMetrics) {
+func quarantine(path string, m walMetrics) {
 	_ = os.Rename(path, path+quarantineSuffix)
 	m.quarantined.Inc()
-	if sink != nil {
-		sink.Emit(telemetry.Event{Kind: telemetry.KindQuarantine})
-	}
 }
