@@ -54,11 +54,13 @@ microbench:
 # invocation, hence one line each). Covers the bubble codec, the
 # codec+auditor composition, the CSV reader, the telemetry auditor and
 # the Prometheus writer/parser pair (DESIGN.md §8), the seed distance
-# matrix oracle (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
+# matrix oracle and the Figure 2 search's brute-force differential
+# (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
 # and bubbled's JSON ingest surface (DESIGN.md §15).
 FUZZTIME ?= 10s
 audit: vet race
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzSeedMatrix$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzClosestSeed$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoadAudit$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)

@@ -19,8 +19,8 @@ import (
 //
 // The assignment scan runs as a two-phase pipeline: phase 1 fans the
 // closest-seed searches out over opts.Workers goroutines — each search is
-// read-only against the freshly seeded set and draws its probe order from
-// its own SubSeed-derived RNG stream — and phase 2 absorbs the points
+// read-only against the freshly seeded set and orders its probes by its
+// own SubSeed-seeded probe stream — and phase 2 absorbs the points
 // serially in database order, so the sufficient statistics accumulate in a
 // fixed floating-point order and the result is identical for every worker
 // count.

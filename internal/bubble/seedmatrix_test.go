@@ -1,6 +1,7 @@
 package bubble
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -10,16 +11,24 @@ import (
 	"incbubbles/internal/vecmath"
 )
 
-// TestClosestSeedTieBreak pins the latent tie-break hazard: with
-// deliberately equidistant seeds, the search must return the lowest
-// bubble ID under every RNG probe order, with and without pruning.
-// Seeds 0 and 1 are both √2 from the query and only 2 apart
-// (non-colinear with the query), so Lemma 1 cannot prune either against
-// the other and the explicit tie adoption decides.
+// TestClosestSeedTieBreak pins the tie rule: with deliberately
+// equidistant seeds, the search must return the lowest bubble ID under
+// every probe order, on the serial path and through a Finder, with and
+// without pruning. Seeds 0 and 1 are 2 apart. The off-line query is √2
+// from both, so Lemma 1 cannot prune either against the other and the
+// explicit tie adoption decides. The midpoint query is 1 from both, so
+// each seed sits exactly 2·minDist from the other — Lemma 1's equality
+// case, where pruning the lower ID would lose the tie.
 func TestClosestSeedTieBreak(t *testing.T) {
 	seeds := []vecmath.Point{{0, 0}, {2, 0}, {10, 10}}
-	query := vecmath.Point{1, 1}
-	want := math.Sqrt(2)
+	queries := []struct {
+		name string
+		p    vecmath.Point
+		want float64
+	}{
+		{"off-line", vecmath.Point{1, 1}, math.Sqrt(2)},
+		{"midpoint", vecmath.Point{1, 0}, 1},
+	}
 	cases := []struct {
 		name string
 		opts Options
@@ -28,25 +37,31 @@ func TestClosestSeedTieBreak(t *testing.T) {
 		{"no-pruning", Options{}},
 	}
 	for _, tc := range cases {
-		for seed := int64(1); seed <= 40; seed++ {
-			opts := tc.opts
-			opts.RNG = stats.NewRNG(seed)
-			s, err := NewSet(2, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range seeds {
-				if _, err := s.AddBubble(p); err != nil {
+		for _, q := range queries {
+			for seed := int64(1); seed <= 40; seed++ {
+				opts := tc.opts
+				opts.RNG = stats.NewRNG(seed)
+				s, err := NewSet(2, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			idx, d, err := s.ClosestSeed(query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx != 0 || d != want {
-				t.Fatalf("%s rng=%d: ClosestSeed = bubble %d at %g, want bubble 0 at %g",
-					tc.name, seed, idx, d, want)
+				for _, p := range seeds {
+					if _, err := s.AddBubble(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				serialIdx, serialD, err := s.ClosestSeed(q.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				finderIdx, finderD, err := s.NewFinder().ClosestSeed(q.p, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if serialIdx != 0 || serialD != q.want || finderIdx != 0 || finderD != q.want {
+					t.Fatalf("%s %s seed=%d: serial bubble %d at %g, Finder bubble %d at %g, want bubble 0 at %g",
+						tc.name, q.name, seed, serialIdx, serialD, finderIdx, finderD, q.want)
+				}
 			}
 		}
 	}
@@ -128,6 +143,9 @@ func latticePoint(a, b, c byte) vecmath.Point {
 type matrixMachine struct {
 	set   *Set
 	seeds []vecmath.Point
+	// afterOp, when set, runs after every operation that passed its
+	// checks, with the operation's three argument bytes.
+	afterOp func(a, b, c byte) error
 }
 
 func newMatrixMachine(dim int) *matrixMachine {
@@ -235,6 +253,9 @@ func applyProgram(m *matrixMachine, data []byte) error {
 		case op == opDistance:
 			err = m.distance(int(a)%m.len(), int(b)%m.len())
 		}
+		if err == nil && m.afterOp != nil {
+			err = m.afterOp(a, b, c)
+		}
 		if err != nil {
 			return fmt.Errorf("pc %d: %w", pc, err)
 		}
@@ -293,6 +314,145 @@ func FuzzSeedMatrix(f *testing.F) {
 			return // bound program length; the checks are quadratic
 		}
 		if err := applyProgram(newMatrixMachine(3), data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// halfLatticePoint decodes a 3-d query on the half-integer lattice that
+// holds every midpoint of two latticePoint seeds.
+func halfLatticePoint(a, b, c byte) vecmath.Point {
+	return vecmath.Point{float64(a%16) / 2, float64(b%16) / 2, float64(c%16) / 2}
+}
+
+// searchPath is one way to run a Figure 2 search: its name, the search
+// (excl −1 for none; seed orders the probes where the path takes one)
+// and the distance count it accounts into.
+type searchPath struct {
+	name   string
+	search func(q vecmath.Point, excl int, seed int64) (int, float64, error)
+	total  func() uint64
+}
+
+// newSearchMachine returns a matrixMachine that runs the brute-force
+// differential of the Figure 2 search after every operation. Two queries
+// derive from the operation's bytes: a half-lattice point, and the
+// midpoint of two current seeds, which is equidistant from both and half
+// their seed-matrix entry away — Lemma 1's equality case. Each is
+// searched through one reused Finder, with probe seeds derived from
+// probeSeed, and through the serial path, whose set RNG is seeded with
+// probeSeed; each both over all bubbles and with one excluded.
+func newSearchMachine(probeSeed int64) *matrixMachine {
+	s, err := NewSet(3, Options{UseTriangleInequality: true, RNG: stats.NewRNG(probeSeed)})
+	if err != nil {
+		panic(err) // the dimension is a positive constant
+	}
+	m := &matrixMachine{set: s}
+	f := s.NewFinder()
+	paths := []searchPath{
+		{"finder", func(q vecmath.Point, excl int, seed int64) (int, float64, error) {
+			if excl < 0 {
+				return f.ClosestSeed(q, seed)
+			}
+			return f.ClosestSeedExcluding(q, excl, seed)
+		}, f.tally.Total},
+		{"serial", func(q vecmath.Point, excl int, _ int64) (int, float64, error) {
+			if excl < 0 {
+				return s.ClosestSeed(q)
+			}
+			return s.ClosestSeedExcluding(q, excl)
+		}, s.Counter().Total},
+	}
+	searches := 0
+	m.afterOp = func(a, b, c byte) error {
+		queries := []vecmath.Point{halfLatticePoint(a, b, c)}
+		excls := []int{-1}
+		if m.len() > 0 {
+			queries = append(queries, vecmath.Lerp(m.seeds[int(a)%m.len()], m.seeds[int(b)%m.len()], 0.5))
+			excls = append(excls, int(c)%m.len())
+		}
+		for _, q := range queries {
+			for _, excl := range excls {
+				searches++
+				for _, path := range paths {
+					if err := m.checkSearch(path, q, excl, stats.SubSeed(probeSeed, searches)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}
+	return m
+}
+
+// checkSearch requires one search of q along path, excluding bubble excl
+// (−1 for none), to return the minimum of (distance, bubble ID) over the
+// mirror's seeds with a bit-equal distance — ErrNoBubbles when no seed is
+// a candidate — and to account every candidate seed as computed or
+// pruned exactly once.
+func (m *matrixMachine) checkSearch(path searchPath, q vecmath.Point, excl int, seed int64) error {
+	want, wantD, candidates := -1, 0.0, 0
+	for i, p := range m.seeds {
+		if i == excl {
+			continue
+		}
+		candidates++
+		if d := vecmath.Distance(q, p); want < 0 || d < wantD {
+			want, wantD = i, d
+		}
+	}
+	before := path.total()
+	idx, d, err := path.search(q, excl, seed)
+	accounted := path.total() - before
+	switch {
+	case want < 0 && !errors.Is(err, ErrNoBubbles):
+		return fmt.Errorf("%s search of %v excluding %d among %d seeds: err %v, want ErrNoBubbles", path.name, q, excl, m.len(), err)
+	case want >= 0 && err != nil:
+		return fmt.Errorf("%s search of %v excluding %d: %w", path.name, q, excl, err)
+	case want >= 0 && (idx != want || math.Float64bits(d) != math.Float64bits(wantD)):
+		return fmt.Errorf("%s search of %v excluding %d = bubble %d at %v, brute force bubble %d at %v",
+			path.name, q, excl, idx, d, want, wantD)
+	case accounted != uint64(candidates):
+		return fmt.Errorf("%s search of %v excluding %d accounted %d distances for %d candidates",
+			path.name, q, excl, accounted, candidates)
+	}
+	return nil
+}
+
+// midpointProgram seeds (0,0,0), (2,0,0) and (7,7,7), then looks up
+// entry (0,1), whose search query is the midpoint (1,0,0) of the first
+// two seeds.
+var midpointProgram = []byte{opAdd, 0, 0, 0, opAdd, 2, 0, 0, opAdd, 7, 7, 7, opDistance, 0, 1, 0}
+
+// TestClosestSeedChurnTraces replays the midpoint program and the
+// generated §4.2 churn programs through the search differential — the
+// deterministic twin of FuzzClosestSeed.
+func TestClosestSeedChurnTraces(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		if err := applyProgram(newSearchMachine(seed), midpointProgram); err != nil {
+			t.Errorf("midpoint program, probe seed %d: %v", seed, err)
+		}
+		if err := applyProgram(newSearchMachine(seed), churnTrace(seed, 20)); err != nil {
+			t.Errorf("churn trace seed %d: %v", seed, err)
+		}
+	}
+}
+
+// FuzzClosestSeed runs FuzzSeedMatrix's byte programs with a fuzzed probe
+// seed and, after every operation, checks Figure 2 searches through a
+// Finder and the serial path against a brute-force scan.
+func FuzzClosestSeed(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), midpointProgram)
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed, churnTrace(seed, 6))
+	}
+	f.Fuzz(func(t *testing.T, probeSeed int64, data []byte) {
+		if len(data) > 4096 {
+			return // bound program length, as FuzzSeedMatrix does
+		}
+		if err := applyProgram(newSearchMachine(probeSeed), data); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -24,8 +24,11 @@ type Options struct {
 	// Counter receives all distance computations and prunes. Optional; a
 	// private counter is used when nil.
 	Counter *vecmath.Counter
-	// RNG drives the randomized probe order of the Figure 2 assignment
-	// loop and seed selection. Optional; a fixed-seed RNG is used when nil.
+	// RNG draws Build's seed sample and the base values the Figure 2
+	// probe streams are seeded from: one per Build and one per serial
+	// ClosestSeed search. The probe streams themselves are O(1)-seeded
+	// SplitMix64 values that only order a search's probes, never change
+	// its answer. Optional; a fixed-seed RNG is used when nil.
 	RNG *stats.RNG
 	// Workers bounds the worker pool of Build's phase-1 closest-seed
 	// fan-out. ≤0 selects GOMAXPROCS; 1 forces the serial path. The built
@@ -179,10 +182,12 @@ func (s *Set) Owner(id dataset.PointID) (int, bool) {
 // OwnedPoints returns the number of points with an ownership entry.
 func (s *Set) OwnedPoints() int { return len(s.owner) }
 
-// ClosestSeed finds the bubble whose seed is closest to p. With triangle-
-// inequality pruning enabled it runs the Figure 2 algorithm against the
-// precomputed seed distance matrix; otherwise it scans all seeds. The
-// returned distance is dist(p, seed of winner).
+// ClosestSeed finds the bubble whose seed is closest to p, the lowest
+// bubble ID among equidistant seeds. With triangle-inequality pruning
+// enabled it runs the Figure 2 algorithm against the precomputed seed
+// distance matrix; otherwise it scans all seeds. Each call seeds its probe
+// stream from one draw of the set's RNG. The returned distance is
+// dist(p, seed of winner).
 func (s *Set) ClosestSeed(p vecmath.Point) (int, float64, error) {
 	return s.closestSeed(p, -1)
 }
@@ -195,7 +200,8 @@ func (s *Set) ClosestSeedExcluding(p vecmath.Point, excl int) (int, float64, err
 }
 
 func (s *Set) closestSeed(p vecmath.Point, excl int) (int, float64, error) {
-	return s.searchClosest(p, excl, s.rng, &s.scratch, s.counter)
+	probe := probeStream(s.rng.Int63())
+	return s.searchClosest(p, excl, &probe, &s.scratch, s.counter)
 }
 
 // distSink receives the distance accounting of one search. Both the shared
@@ -206,14 +212,23 @@ type distSink interface {
 }
 
 // searchClosest is the Figure 2 closest-seed search with all mutable state
-// — probe-order RNG, candidate scratch buffer, distance accounting —
-// passed in by the caller. Against a set that is not being mutated it only
-// reads the seed positions and the seed distance matrix, so any number of
-// searches with distinct (rng, scratch, sink) triples may run concurrently;
-// that is the read-only phase 1 of the parallel assignment pipeline.
+// — probe stream, candidate scratch buffer, distance accounting — passed
+// in by the caller. Against a set that is not being mutated it only reads
+// the seed positions and the seed distance matrix, so any number of
+// searches with distinct (probe, scratch, sink) triples may run
+// concurrently; that is the read-only phase 1 of the parallel assignment
+// pipeline.
+//
+// The winner is the minimum of (distance, bubble ID) over every
+// candidate seed — the brute-force answer — whatever the probe order:
+// Lemma 1 prunes a seed only when it is provably farther than the
+// current candidate, or provably no closer and of higher ID, and a probe
+// replaces the candidate only when it is closer, or equidistant with a
+// lower ID. The probe order moves only the computed/pruned split of the
+// distance accounting, whose sum is always the candidate count.
 //
 //lint:hotpath
-func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *[]int, sink distSink) (int, float64, error) {
+func (s *Set) searchClosest(p vecmath.Point, excl int, probe *probeStream, scratch *[]int, sink distSink) (int, float64, error) {
 	n := len(s.bubbles)
 	if n == 0 || (n == 1 && excl == 0) {
 		return 0, 0, ErrNoBubbles
@@ -235,9 +250,9 @@ func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *
 	}
 
 	// Figure 2: CandidateSeeds starts as all seeds; a random candidate is
-	// probed, all seeds provably no closer (d(s_j, s_c) ≥ 2·minDist) are
-	// pruned, then a random unpruned seed is probed, updating the candidate
-	// when closer, until no candidates remain.
+	// probed, all seeds Lemma 1 rules out are pruned, then a random
+	// unpruned seed is probed, updating the candidate when it wins, until
+	// no candidates remain.
 	if cap(*scratch) < n {
 		//lint:allow hotpathalloc candidate scratch grows to the bubble count once, then is reused by every search
 		*scratch = make([]int, 0, n)
@@ -250,16 +265,20 @@ func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *
 		}
 	}
 	var sc int
-	sc, cands = pickCand(rng, cands)
+	sc, cands = pickCand(probe, cands)
 	minDist := sink.Distance(p, s.bubbles[sc].seed)
 	pruned := 0
 	for len(cands) > 0 {
 		// Prune everything Lemma 1 rules out with the current candidate,
-		// scanning its row of the seed distance matrix.
+		// scanning its row of the seed distance matrix. By the triangle
+		// inequality d(p, s_j) ≥ d(s_j, s_c) − minDist: past 2·minDist
+		// seed j is strictly farther than the candidate, and at exactly
+		// 2·minDist it can at best tie it, which only a lower ID wins.
 		row := s.seedDist.dist[sc]
 		kept := cands[:0]
 		for _, j := range cands {
-			if row[j] >= 2*minDist {
+			//lint:allow floatsafe a seed exactly 2·minDist away may be equidistant with the candidate, so it is pruned only when its higher ID would lose that tie
+			if row[j] > 2*minDist || (row[j] == 2*minDist && j > sc) {
 				pruned++
 				continue
 			}
@@ -269,13 +288,12 @@ func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *
 		cands = kept
 		// Probe unpruned seeds until one improves on the candidate. An
 		// exact-distance tie is adopted only from a lower bubble ID, so
-		// the winner among the probed seeds never depends on probe order;
-		// the loop still terminates because the candidate ID strictly
-		// decreases while minDist is unchanged.
+		// the candidate strictly decreases in (distance, ID) order and a
+		// probed seed that loses is never the winner.
 		improved := false
 		for len(cands) > 0 {
 			var j int
-			j, cands = pickCand(rng, cands)
+			j, cands = pickCand(probe, cands)
 			d := sink.Distance(p, s.bubbles[j].seed)
 			//lint:allow floatsafe equidistant seeds resolve to the lowest bubble ID so assignment is probe-order independent
 			if d < minDist || (d == minDist && j < sc) {
@@ -297,8 +315,8 @@ func (s *Set) searchClosest(p vecmath.Point, excl int, rng *stats.RNG, scratch *
 // closure inside searchClosest so the hot path allocates nothing.
 //
 //lint:hotpath
-func pickCand(rng *stats.RNG, cands []int) (int, []int) {
-	k := rng.Intn(len(cands))
+func pickCand(probe *probeStream, cands []int) (int, []int) {
+	k := probe.intn(len(cands))
 	idx := cands[k]
 	cands[k] = cands[len(cands)-1]
 	return idx, cands[:len(cands)-1]

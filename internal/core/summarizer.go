@@ -679,10 +679,12 @@ func insertIndices(batch dataset.Batch) []int {
 // bubble of every insertion in batch concurrently. The searches are
 // read-only: between maintenance rounds the seed positions and the seed
 // distance matrix are frozen, deletions never move seeds, and each worker
-// carries a private Finder (RNG, scratch buffer, distance tally). Each
-// insertion's probe order comes from its own SubSeed-derived RNG stream
-// keyed by batch ordinal, so the chosen bubble and the per-point
-// computed/pruned counts are independent of worker count and scheduling;
+// carries a private Finder (probe stream, scratch buffer, distance
+// tally). Each insertion's probe order comes from its own SubSeed-seeded
+// probe stream keyed by batch ordinal, so the per-point computed/pruned
+// counts are independent of worker count and scheduling, and the chosen
+// bubble, the minimum of (distance, ID), does not even depend on the
+// probe order;
 // the per-worker tallies merge into the shared counter in worker order
 // once the fan-out completes, keeping Computed()/Pruned() totals exact.
 // Because nothing is mutated, cancelling ctx here aborts the batch with

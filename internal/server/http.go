@@ -34,6 +34,7 @@ const (
 	ReasonConfigMismatch = "config_mismatch"
 	ReasonIngestFailed   = "ingest_failed"
 	ReasonCreateFailed   = "create_failed"
+	ReasonPlotFailed     = "plot_failed"
 )
 
 // errorBody is the uniform error envelope.
@@ -515,6 +516,24 @@ func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func parseInt64(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }
 
+// parsePositiveInt parses a base-10 integer above 0.
+func parsePositiveInt(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n <= 0 {
+		err = fmt.Errorf("%d is not above 0", n)
+	}
+	return n, err
+}
+
+// parsePositiveFinite parses a finite number above 0.
+func parsePositiveFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(v > 0 && v <= math.MaxFloat64) {
+		err = fmt.Errorf("%v is not a finite number above 0", v)
+	}
+	return v, err
+}
+
 func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tenant) {
 	q := r.URL.Query()
 	axis, err1 := queryParam(q, "axis", 0, strconv.Atoi)
@@ -553,17 +572,15 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tena
 // handlePlot runs OPTICS over the snapshot and returns the bubble-level
 // reachability ordering. Snapshot isolation means a plot during heavy
 // ingest (or on a poisoned tenant) serves the last published summary.
+// An absent minpts or eps takes its default (5, +Inf); a present one must
+// be a positive integer or a finite number above 0.
 func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request, t *tenant) {
 	q := r.URL.Query()
-	minPts, _ := strconv.Atoi(q.Get("minpts"))
-	if minPts <= 0 {
-		minPts = 5
-	}
-	eps := math.Inf(1)
-	if v := q.Get("eps"); v != "" {
-		if p, err := strconv.ParseFloat(v, 64); err == nil && p > 0 {
-			eps = p
-		}
+	minPts, err1 := queryParam(q, "minpts", 5, parsePositiveInt)
+	eps, err2 := queryParam(q, "eps", math.Inf(1), parsePositiveFinite)
+	if err := errors.Join(err1, err2); err != nil {
+		writeError(w, http.StatusBadRequest, ReasonBadRequest, err)
+		return
 	}
 	rs := t.snapshot()
 	space, err := optics.NewBubbleSpace(rs.set)
@@ -573,7 +590,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request, t *tenant) {
 	}
 	res, err := optics.Run(space, optics.Params{Eps: eps, MinPts: minPts})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, ReasonBadRequest, err)
+		writeError(w, http.StatusInternalServerError, ReasonPlotFailed, err)
 		return
 	}
 	reply := plotReply{Applied: rs.applied, MinPts: minPts, TotalWeight: res.TotalWeight()}

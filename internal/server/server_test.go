@@ -319,6 +319,21 @@ func TestTenantLifecycleAndReads(t *testing.T) {
 			if got := int(plot["total_weight"].(float64)); got != points {
 				t.Fatalf("plot total weight = %d, want %d", got, points)
 			}
+			// A plot parameter that is present must be a positive integer
+			// minpts or a finite eps above 0; none silently defaults.
+			for _, query := range []string{
+				"minpts=abc", "minpts=0", "minpts=-3", "minpts=2.5", "minpts=",
+				"eps=abc", "eps=1e400", "eps=-1", "eps=0", "eps=NaN", "eps=Inf", "eps=",
+			} {
+				resp, body := e.do(t, http.MethodGet, "/tenants/"+name+"/plot?"+query, nil)
+				if resp.StatusCode != http.StatusBadRequest || body["reason"] != ReasonBadRequest {
+					t.Fatalf("plot with %s: %d %v, want 400 %s", query, resp.StatusCode, body, ReasonBadRequest)
+				}
+			}
+			resp, plot = e.do(t, http.MethodGet, "/tenants/"+name+"/plot?minpts=2&eps=1e6", nil)
+			if resp.StatusCode != http.StatusOK || int(plot["min_pts"].(float64)) != 2 {
+				t.Fatalf("plot with minpts=2&eps=1e6: %d %v", resp.StatusCode, plot)
+			}
 
 			// A dangling delete or a reserved label is a rejected
 			// request, not a fault: 400, nothing applied, and the tenant

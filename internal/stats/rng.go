@@ -23,15 +23,17 @@ func NewRNG(seed int64) *RNG {
 func (g *RNG) Rand() *rand.Rand { return g.r }
 
 // Reseed re-seeds the generator in place, as if freshly created with
-// NewRNG(seed). Per-point parallel search loops reuse one RNG per worker
-// and reseed it for every item instead of allocating a new source.
+// NewRNG(seed). It refills the source's whole 607-word state, so it suits
+// once-per-batch use — the summarizer's replay reseed — and not per-item
+// use: the per-point Figure 2 probe streams are one-word SplitMix64
+// values seeded from SubSeed instead (internal/bubble).
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // SubSeed derives the k-th child seed of base with a SplitMix64 step. Every
-// item of a parallel loop gets its own reproducible RNG stream from
+// item of a parallel loop gets its own reproducible stream from
 // (base, item ordinal), so the stream an item sees is independent of the
 // worker that runs it and of execution order — the property the parallel
 // assignment pipeline's determinism rests on.
