@@ -1,169 +1,83 @@
-// Package bench is the repository's pinned benchmark suite: a set of
+// Package bench is the repository's pinned count suite: eight
 // fixed-seed, fixed-operation workloads over the summarizer, the
-// durability layer and the clustering, reported as one JSON document
-// (BENCH_incbubbles.json) that the committed baseline and cmd/benchdiff
-// gate regressions against.
+// durability layer, the clustering and the serving path, each run once
+// under a span tracer and reported as one JSON document
+// (BENCH_incbubbles.json) that TestPinnedCounts holds byte for byte.
 //
-// Unlike testing.B benchmarks, every workload executes a pinned amount
-// of work (no adaptive b.N), so the work-proportional metrics — distance
-// calculations per operation, spans per run, the per-phase breakdown —
-// are byte-stable across runs and machines under the same preset and
-// seed. Those metrics come from one instrumented rep whose span trace is
-// aggregated per phase; wall-clock and allocator numbers come from
-// separate uninstrumented reps and are explicitly excluded from the
-// deterministic projection (see Report.Deterministic).
+// Every workload executes a pinned amount of work (no adaptive b.N), so
+// its counts — distance calculations computed and pruned per operation,
+// spans per run, the per-phase breakdown — are the same on every run and
+// machine: the paper's machine-independent cost measure (Figures 10–11).
+// Nothing here measures time. BenchmarkWorkloads times the same
+// workloads with the standard Go harness, and perfbench owns end-to-end
+// time.
 package bench
 
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"time"
 
 	"incbubbles/internal/trace"
 )
 
 // Schema identifies the report format; bump on breaking changes.
-const Schema = "incbubbles-bench/v1"
+const Schema = "incbubbles-bench/v2"
 
-// Preset scales the suite.
-type Preset string
+// seed is the base random seed every workload derives its inputs from.
+const seed int64 = 1
 
-const (
-	// PresetShort is the CI-smoke and unit-test scale: a few seconds.
-	PresetShort Preset = "short"
-	// PresetFull is the committed-baseline scale.
-	PresetFull Preset = "full"
-)
-
-// Config parameterises one suite run.
-type Config struct {
-	// Preset selects the workload sizes (default PresetShort).
-	Preset Preset
-	// Seed is the base random seed (default 1). The committed baseline
-	// pins seed 1; changing it changes every deterministic metric.
-	Seed int64
-	// Reps is how many timed repetitions the wall-clock figures are the
-	// median of (default 3; each rep rebuilds its state from scratch).
-	Reps int
-	// ScratchDir hosts the durable workloads' WAL directories (default:
-	// a temp directory removed when the run ends).
-	ScratchDir string
-}
-
-func (c Config) withDefaults() Config {
-	if c.Preset == "" {
-		c.Preset = PresetShort
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Reps <= 0 {
-		c.Reps = 3
-	}
-	return c
-}
-
-// PhaseStat aggregates the spans of one name within a workload's
-// instrumented rep: the trace-derived phase breakdown.
+// PhaseStat aggregates the spans of one name within a workload's run:
+// the trace-derived phase breakdown.
 type PhaseStat struct {
 	Name             string `json:"name"`
 	Spans            int    `json:"spans"`
-	NsTotal          int64  `json:"ns_total"`
 	DistanceComputed uint64 `json:"distance_computed"`
 	DistancePruned   uint64 `json:"distance_pruned"`
 }
 
-// Result is one workload's measurements.
+// Result is one workload's counts.
 type Result struct {
 	Name string `json:"name"`
 	// Ops is the pinned operation count the per-op figures divide by
 	// (updates applied, or 1 for whole-run workloads).
-	Ops  int `json:"ops"`
-	Reps int `json:"reps"`
-
-	// Wall-clock and allocator figures; machine-dependent.
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-
-	// Work-proportional figures; deterministic under preset+seed.
+	Ops                   int         `json:"ops"`
 	DistanceComputedPerOp float64     `json:"distance_computed_per_op"`
 	DistancePrunedPerOp   float64     `json:"distance_pruned_per_op"`
 	Spans                 int         `json:"spans"`
-	DroppedSpans          uint64      `json:"dropped_spans"`
 	Phases                []PhaseStat `json:"phases"`
 }
 
 // Report is the full suite output.
 type Report struct {
 	Schema     string   `json:"schema"`
-	Preset     string   `json:"preset"`
 	Seed       int64    `json:"seed"`
-	Notes      []string `json:"notes,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// hotpathNote records the standing allocation guarantee behind the
-// allocs_per_op figures: it is enforced statically, not just measured, so
-// a regression shows up in `make lint` before it shows up here.
-const hotpathNote = "hot-path guarantee: every //lint:hotpath function " +
-	"(vecmath kernels, distance counters, the Figure 2 closest-seed " +
-	"search) is proven free of heap allocation by the hotpathalloc " +
-	"analyzer; residual allocs_per_op comes from batch bookkeeping " +
-	"outside the annotated hot path"
-
-// Deterministic returns a copy of the report with every machine-dependent
-// field (wall clock, allocator) zeroed, leaving exactly the fields that
-// must be byte-stable under a pinned preset and seed. The stability test
-// and the count-gating side of benchdiff operate on this projection.
-func (r Report) Deterministic() Report {
-	out := r
-	out.Benchmarks = make([]Result, len(r.Benchmarks))
-	for i, b := range r.Benchmarks {
-		b.NsPerOp = 0
-		b.AllocsPerOp = 0
-		b.BytesPerOp = 0
-		b.Phases = append([]PhaseStat(nil), b.Phases...)
-		for j := range b.Phases {
-			b.Phases[j].NsTotal = 0
-		}
-		out.Benchmarks[i] = b
-	}
-	return out
-}
-
-// workload is one suite entry. setup builds fresh state (untimed) and
-// returns the measured section; the runner calls it once per rep so
-// mutation never leaks between reps. A nil tracer must disable tracing.
+// workload is one suite entry. setup builds fresh state and returns the
+// measured section, which mutates that state, so every run needs its own
+// setup. A nil tracer must disable tracing.
 type workload struct {
-	name string
-	// traceTimed times the measured section with an enabled
-	// default-capacity tracer instead of a nil one — the overhead probe.
-	traceTimed bool
-	setup      func(cfg Config, scratch string, tracer *trace.Tracer) (exec func() error, ops int, err error)
+	name  string
+	setup func(scratch string, tracer *trace.Tracer) (exec func() error, ops int, err error)
 }
 
-// metricsCapacity sizes the instrumented rep's ring so nothing drops; a
-// drop would make the deterministic metrics depend on eviction order.
+// metricsCapacity sizes the run's span ring so nothing drops; a drop
+// would make the counts depend on eviction order.
 const metricsCapacity = 1 << 17
 
-// Run executes the whole suite and assembles the report.
-func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	scratch := cfg.ScratchDir
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "incbubbles-bench-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		scratch = dir
+// Run executes every workload once in a scratch directory it removes
+// afterwards, and assembles the report.
+func Run() (*Report, error) {
+	scratch, err := os.MkdirTemp("", "incbubbles-bench-")
+	if err != nil {
+		return nil, err
 	}
-	rep := &Report{Schema: Schema, Preset: string(cfg.Preset), Seed: cfg.Seed, Notes: []string{hotpathNote}}
+	defer os.RemoveAll(scratch)
+	rep := &Report{Schema: Schema, Seed: seed}
 	for _, w := range workloads() {
-		res, err := runWorkload(cfg, scratch, w)
+		res, err := runWorkload(scratch, w)
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: %w", w.name, err)
 		}
@@ -172,25 +86,23 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-func runWorkload(cfg Config, scratch string, w workload) (*Result, error) {
-	res := &Result{Name: w.name, Reps: cfg.Reps}
-
-	// Instrumented rep: every deterministic metric is derived from the
-	// spans recorded during the measured section.
+// runWorkload derives every count from the spans recorded during the
+// measured section.
+func runWorkload(scratch string, w workload) (*Result, error) {
 	tracer := trace.New(trace.Options{Capacity: metricsCapacity})
-	exec, ops, err := w.setup(cfg, scratch, tracer)
+	exec, ops, err := w.setup(scratch, tracer)
 	if err != nil {
 		return nil, err
 	}
-	res.Ops = ops
 	t0 := tracer.Now()
 	if err := exec(); err != nil {
 		return nil, err
 	}
+	if n := tracer.Dropped(); n > 0 {
+		return nil, fmt.Errorf("span ring of %d dropped %d spans", metricsCapacity, n)
+	}
 	recs := tracer.SnapshotSince(t0)
-	res.Spans = len(recs)
-	res.DroppedSpans = tracer.Dropped()
-	res.Phases = aggregatePhases(recs)
+	res := &Result{Name: w.name, Ops: ops, Spans: len(recs), Phases: aggregatePhases(recs)}
 	var computed, pruned uint64
 	for _, p := range res.Phases {
 		computed += p.DistanceComputed
@@ -198,43 +110,6 @@ func runWorkload(cfg Config, scratch string, w workload) (*Result, error) {
 	}
 	res.DistanceComputedPerOp = float64(computed) / float64(ops)
 	res.DistancePrunedPerOp = float64(pruned) / float64(ops)
-
-	// Allocator rep: malloc and byte deltas around one untraced run.
-	exec, _, err = w.setup(cfg, scratch, nil)
-	if err != nil {
-		return nil, err
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if err := exec(); err != nil {
-		return nil, err
-	}
-	runtime.ReadMemStats(&m1)
-	res.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(ops)
-	res.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops)
-
-	// Timed reps: median wall clock over fresh states. The overhead-probe
-	// workloads time against an enabled default tracer; everything else
-	// times the disabled (nil) path the production default pays.
-	times := make([]int64, cfg.Reps)
-	for i := range times {
-		var tr *trace.Tracer
-		if w.traceTimed {
-			tr = trace.New(trace.Options{})
-		}
-		exec, _, err := w.setup(cfg, scratch, tr)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if err := exec(); err != nil {
-			return nil, err
-		}
-		times[i] = time.Since(start).Nanoseconds()
-	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	res.NsPerOp = float64(times[len(times)/2]) / float64(ops)
 	return res, nil
 }
 
@@ -249,7 +124,6 @@ func aggregatePhases(recs []trace.Record) []PhaseStat {
 			byName[r.Name] = p
 		}
 		p.Spans++
-		p.NsTotal += r.Dur
 		if v, ok := r.Attr(trace.AttrDistComputed); ok {
 			p.DistanceComputed += uint64(v)
 		}

@@ -477,13 +477,15 @@ func (s *Server) handleRangeCount(w http.ResponseWriter, r *http.Request, t *ten
 		writeError(w, http.StatusBadRequest, ReasonBadRequest, err)
 		return
 	}
+	// A JSON body cannot tell an absent samples from 0 (omitempty), so 0
+	// takes the default; a negative one is a rejected request.
 	samples := body.Samples
-	if samples <= 0 {
+	if samples == 0 {
 		samples = 1024
 	}
-	if samples > maxApproxSamples {
+	if samples < 0 || samples > maxApproxSamples {
 		writeError(w, http.StatusBadRequest, ReasonBadRequest,
-			fmt.Errorf("server: samples %d above the cap %d", samples, maxApproxSamples))
+			fmt.Errorf("server: samples %d outside 1..%d", samples, maxApproxSamples))
 		return
 	}
 	rs := t.snapshot()
@@ -537,20 +539,14 @@ func parsePositiveFinite(s string) (float64, error) {
 func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tenant) {
 	q := r.URL.Query()
 	axis, err1 := queryParam(q, "axis", 0, strconv.Atoi)
-	bins, err2 := queryParam(q, "bins", 0, strconv.Atoi)
+	bins, err2 := queryParam(q, "bins", 16, parsePositiveInt)
 	lo, err3 := queryParam(q, "lo", 0, parseFloat)
 	hi, err4 := queryParam(q, "hi", 0, parseFloat)
-	samples, err5 := queryParam(q, "samples", 0, strconv.Atoi)
+	samples, err5 := queryParam(q, "samples", 1024, parsePositiveInt)
 	seed, err6 := queryParam(q, "seed", 0, parseInt64)
 	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
 		writeError(w, http.StatusBadRequest, ReasonBadRequest, err)
 		return
-	}
-	if bins <= 0 {
-		bins = 16
-	}
-	if samples <= 0 {
-		samples = 1024
 	}
 	if bins > maxHistogramBins || samples > maxApproxSamples {
 		writeError(w, http.StatusBadRequest, ReasonBadRequest,

@@ -366,6 +366,15 @@ func TestTenantTraceEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(flame, []byte("server.ingest")) {
 		t.Fatalf("flame trace: status %d body %.200s", resp.StatusCode, flame)
 	}
+	// A bad capture window is a rejected request, not the whole ring.
+	resp, err = http.Get(e.ts.URL + "/tenants/tr/debug/trace?sec=abc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trace with sec=abc: status %d, want 400", resp.StatusCode)
+	}
 
 	// Tracing disabled: the nil-safe ring serves an empty, valid trace.
 	e2 := newTestEnv(t, Options{TraceCapacity: -1})

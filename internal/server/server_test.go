@@ -297,20 +297,29 @@ func TestTenantLifecycleAndReads(t *testing.T) {
 				}
 			}
 			// Non-finite edges and parameters that are present but do not
-			// parse are rejected requests, not a panic or a silent default.
+			// parse, or bins and samples that are not positive integers,
+			// are rejected requests, not a panic or a silent default.
 			for _, query := range []string{
 				"lo=NaN&hi=20", "lo=-Inf&hi=20", "lo=-1&hi=NaN", "lo=-1&hi=1e400", "lo=-1&hi=abc",
 				"lo=-1&hi=20&axis=x", "lo=-1&hi=20&bins=2.5", "lo=-1&hi=20&samples=", "lo=-1&hi=20&seed=s",
+				"lo=-1&hi=20&bins=-3", "lo=-1&hi=20&bins=0", "lo=-1&hi=20&samples=-5", "lo=-1&hi=20&samples=0",
 			} {
 				resp, body := e.do(t, http.MethodGet, "/tenants/"+name+"/approx/histogram?"+query, nil)
 				if resp.StatusCode != http.StatusBadRequest || body["reason"] != ReasonBadRequest {
 					t.Fatalf("histogram with %s: %d %v, want 400 %s", query, resp.StatusCode, body, ReasonBadRequest)
 				}
 			}
-			rc, _ = json.Marshal(rangeCountBody{Lo: []float64{-1, -1}, Hi: []float64{20, 20}, Samples: maxApproxSamples + 1})
-			resp, est = e.do(t, http.MethodPost, "/tenants/"+name+"/approx/rangecount", bytes.NewReader(rc))
-			if resp.StatusCode != http.StatusBadRequest || est["reason"] != ReasonBadRequest {
-				t.Fatalf("rangecount above the samples cap: %d %v, want 400 %s", resp.StatusCode, est, ReasonBadRequest)
+			// Absent bins and samples take their defaults.
+			resp, hist := e.do(t, http.MethodGet, "/tenants/"+name+"/approx/histogram?axis=0&lo=-1&hi=20", nil)
+			if bins, _ := hist["bins"].([]any); resp.StatusCode != http.StatusOK || len(bins) != 16 {
+				t.Fatalf("histogram with default bins: %d %v, want 200 with 16 bins", resp.StatusCode, hist)
+			}
+			for _, samples := range []int{maxApproxSamples + 1, -7} {
+				rc, _ = json.Marshal(rangeCountBody{Lo: []float64{-1, -1}, Hi: []float64{20, 20}, Samples: samples})
+				resp, est = e.do(t, http.MethodPost, "/tenants/"+name+"/approx/rangecount", bytes.NewReader(rc))
+				if resp.StatusCode != http.StatusBadRequest || est["reason"] != ReasonBadRequest {
+					t.Fatalf("rangecount with samples %d: %d %v, want 400 %s", samples, resp.StatusCode, est, ReasonBadRequest)
+				}
 			}
 			resp, plot := e.do(t, http.MethodGet, "/tenants/"+name+"/plot?minpts=5", nil)
 			if resp.StatusCode != http.StatusOK {

@@ -116,6 +116,23 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugTraceRejectsBadParams: a present sec that is not a positive
+// integer, or a format other than flame, answers 400 instead of silently
+// serving the whole ring as JSON; nil tracer or not.
+func TestDebugTraceRejectsBadParams(t *testing.T) {
+	for _, tr := range []*trace.Tracer{nil, trace.New(trace.Options{Capacity: 16})} {
+		mux := debugMux(nil, tr)
+		for _, query := range []string{
+			"sec=abc", "sec=-5", "sec=0", "sec=", "sec=2.5",
+			"format=xml", "format=", "format=FLAME", "format=flame&sec=abc",
+		} {
+			if code, _, body := get(t, mux, "/debug/trace?"+query); code != http.StatusBadRequest {
+				t.Errorf("/debug/trace?%s (tracer %v): status %d body %.100s, want 400", query, tr != nil, code, body)
+			}
+		}
+	}
+}
+
 // TestDebugTraceCaptureWindow: ?sec=N returns only spans started inside
 // the window, and a cancelled request returns early with what accumulated.
 func TestDebugTraceCaptureWindow(t *testing.T) {

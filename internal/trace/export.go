@@ -180,11 +180,22 @@ const maxCaptureSeconds = 60
 //	                    ends the wait early and returns what accumulated
 //	GET ?format=flame   plain-text flame summary instead of JSON
 //
-// A nil Tracer serves an empty trace.
+// A present sec that is not a positive integer, or a format other than
+// flame, answers 400. A nil Tracer serves an empty trace.
 func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	sec, err := strconv.Atoi(q.Get("sec"))
+	if q.Has("sec") && (err != nil || sec <= 0) {
+		http.Error(w, fmt.Sprintf("trace: sec %q is not a positive integer", q.Get("sec")), http.StatusBadRequest)
+		return
+	}
+	format := q.Get("format")
+	if q.Has("format") && format != "flame" {
+		http.Error(w, fmt.Sprintf("trace: format %q is not flame", format), http.StatusBadRequest)
+		return
+	}
 	var recs []Record
-	if sec, err := strconv.Atoi(q.Get("sec")); err == nil && sec > 0 {
+	if q.Has("sec") {
 		since := t.Now()
 		select {
 		case <-time.After(time.Duration(min(sec, maxCaptureSeconds)) * time.Second):
@@ -194,8 +205,7 @@ func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	} else {
 		recs = t.Snapshot()
 	}
-	var err error
-	if q.Get("format") == "flame" {
+	if format == "flame" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		err = WriteFlame(w, recs)
 	} else {
