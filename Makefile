@@ -50,7 +50,7 @@ microbench:
 # the Prometheus writer/parser pair (DESIGN.md §8), the seed distance
 # matrix oracle and the Figure 2 search's brute-force differential
 # (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
-# and bubbled's JSON ingest surface (DESIGN.md §15).
+# and bubbled's JSON ingest and tenant-create surfaces (DESIGN.md §15).
 FUZZTIME ?= 10s
 audit: vet race
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzSeedMatrix$$' -fuzztime=$(FUZZTIME)
@@ -63,6 +63,7 @@ audit: vet race
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzIngest$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzCreateTenant$$' -fuzztime=$(FUZZTIME)
 
 # Full crash-recovery matrix (DESIGN.md §10): kill the workload at every
 # registered failpoint in every mode, resume from disk, and require the

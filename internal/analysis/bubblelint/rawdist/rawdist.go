@@ -24,8 +24,7 @@ var Analyzer = &framework.Analyzer{
 }
 
 // uncounted are the vecmath package-level distance functions that bypass
-// counters. ManhattanDistance/ChebyshevDistance are excluded: the paper's
-// accounting concerns Euclidean scans only.
+// counters.
 var uncounted = map[string]bool{"Distance": true, "SquaredDistance": true}
 
 func run(pass *framework.Pass) (interface{}, error) {

@@ -202,7 +202,7 @@ func TestAxisHistogram(t *testing.T) {
 	if _, err := edge.AddBubble(vecmath.Point{x}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := edge.AssignClosest(1, vecmath.Point{x}); err != nil {
+	if err := edge.AssignTo(0, 1, vecmath.Point{x}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -62,27 +62,11 @@ func BenchmarkBuildWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignPoint measures one closest-seed search with pruning. The
-// serial case runs Set.ClosestSeed against 100 seeds in 2-d. The finder
-// case runs the production search — one reused Finder seeded per item
-// with stats.SubSeed, as phase 1 of Build and ApplyBatch does — against
-// 500 seeds in 10-d, the paper-scale bubble count and dimension.
+// BenchmarkAssignPoint measures one closest-seed search with pruning: one
+// reused Finder seeded per item with stats.SubSeed, as phase 1 of Build
+// and ApplyBatch does, against 500 seeds in 10-d, the paper-scale bubble
+// count and dimension.
 func BenchmarkAssignPoint(b *testing.B) {
-	b.Run("serial/k=100/d=2", func(b *testing.B) {
-		db := benchDB(b, 10000, 2)
-		set, err := Build(db, 100, Options{UseTriangleInequality: true, RNG: stats.NewRNG(2)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := stats.NewRNG(3)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := rng.GaussianPoint(vecmath.Point{0, 0}, 20)
-			if _, _, err := set.ClosestSeed(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("finder/k=500/d=10", func(b *testing.B) {
 		db := benchDB(b, 10000, 10)
 		set, err := Build(db, 500, Options{UseTriangleInequality: true, RNG: stats.NewRNG(2)})

@@ -46,10 +46,14 @@ func BuildContext(ctx context.Context, db *dataset.DB, numSeeds int, opts Option
 	bsp := opts.Tracer.Start("bubble.build")
 	defer bsp.End()
 	bsp.SetInt(trace.AttrCount, int64(db.Len()))
+	rng := opts.RNG
+	if rng == nil {
+		rng = stats.NewRNG(1)
+	}
 	// Step 1: random seeds. The seed span covers the O(numSeeds²)
 	// seed-distance matrix construction inside AddBubble.
 	ssp := bsp.Start("bubble.seeds").Bind(s.Counter())
-	seedIDs, err := db.RandomIDs(s.rng, numSeeds)
+	seedIDs, err := db.RandomIDs(rng, numSeeds)
 	if err != nil {
 		ssp.End()
 		return nil, err
@@ -69,7 +73,7 @@ func BuildContext(ctx context.Context, db *dataset.DB, numSeeds int, opts Option
 	// Step 2, phase 1: find every point's closest seed concurrently.
 	n := db.Len()
 	targets := make([]int, n)
-	base := s.rng.Int63()
+	base := rng.Int63()
 	fsp := bsp.Start("bubble.search").Bind(s.Counter())
 	err = parallel.ForEachWorker(ctx, n, parallel.Workers(opts.Workers, n),
 		func(int) *Finder { return s.NewFinder() },

@@ -34,7 +34,7 @@ const codecVersion = 1
 // Save serializes the set as JSON so that a maintained summary survives a
 // process restart: the sufficient statistics, seeds and (when tracked)
 // member IDs round-trip exactly; the seed distance matrix is recomputed on
-// load. Distance counters and RNG state are intentionally not persisted.
+// load. Distance counters are intentionally not persisted.
 func (s *Set) Save(w io.Writer) error {
 	snap := snapshot{
 		Version:  codecVersion,
@@ -64,13 +64,12 @@ func (s *Set) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reconstructs a Set saved with Save. The counter and RNG are taken
-// from opts (Counter/RNG are the only Options fields consulted; structure
-// flags come from the snapshot itself, and the seed distance matrix is
-// recomputed from the restored seeds). A snapshot saved without member
-// IDs restores as a statistics-only set: populated bubbles have no
-// reconstructible ownership, which the set records (OwnershipComplete
-// reports false) so its invariants stay checkable.
+// Load reconstructs a Set saved with Save. Counter is the only Options
+// field consulted: structure flags come from the snapshot itself, and the
+// seed distance matrix is recomputed from the restored seeds. A snapshot
+// saved without member IDs restores as a statistics-only set: populated
+// bubbles have no reconstructible ownership, which the set records
+// (OwnershipComplete reports false) so its invariants stay checkable.
 func Load(r io.Reader, opts Options) (*Set, error) {
 	var snap snapshot
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&snap); err != nil {
@@ -86,7 +85,6 @@ func Load(r io.Reader, opts Options) (*Set, error) {
 		UseTriangleInequality: snap.Triangle,
 		TrackMembers:          snap.Members,
 		Counter:               opts.Counter,
-		RNG:                   opts.RNG,
 	})
 	if err != nil {
 		return nil, err

@@ -108,7 +108,7 @@ func TestSaveLoadWithoutMembers(t *testing.T) {
 	}
 	// The restored set keeps accepting assignments, and the invariants
 	// hold with the partially rebuilt ownership map.
-	if _, err := back.AssignClosest(1_000_000, vecmath.Point{1, 2, 3}); err != nil {
+	if _, err := assignClosest(back, 1_000_000, vecmath.Point{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := back.CheckInvariants(); err != nil {
@@ -180,12 +180,13 @@ func TestRemoveBubble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
+	f := set.NewFinder()
+	for k, id := range ids {
 		rec, err := db.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgt, _, err := set.ClosestSeedExcluding(rec.P, populated)
+		tgt, _, err := f.ClosestSeedExcluding(rec.P, populated, int64(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestRemoveBubble(t *testing.T) {
 		}
 	}
 	// Assignment still functions after removal.
-	if _, _, err := set.ClosestSeed(vecmath.Point{1, 1, 1}); err != nil {
+	if _, _, err := closest(set, vecmath.Point{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,8 +14,8 @@ func FuzzLoad(f *testing.F) {
 	set, _ := NewSet(2, Options{UseTriangleInequality: true, TrackMembers: true})
 	set.AddBubble([]float64{0, 0})
 	set.AddBubble([]float64{5, 5})
-	set.AssignClosest(1, []float64{0.5, 0})
-	set.AssignClosest(2, []float64{5, 5.5})
+	set.AssignTo(0, 1, []float64{0.5, 0})
+	set.AssignTo(1, 2, []float64{5, 5.5})
 	set.Save(&buf)
 	f.Add(buf.Bytes())
 	f.Add([]byte(`{"version":1,"dim":2,"bubbles":[]}`))

@@ -32,7 +32,7 @@ func raceTestSet(t *testing.T, points, bubbles int) (*Set, *dataset.DB) {
 // because searchClosest touches only the shared immutable state (seeds and
 // the seed-distance matrix) plus per-Finder scratch. Run with -race this
 // proves the claim; it also checks that a concurrent search agrees with
-// the serial search given the same per-point probe seed.
+// one Finder's pass over every point given the same per-point probe seed.
 func TestConcurrentFinders(t *testing.T) {
 	set, db := raceTestSet(t, 600, 12)
 	n := db.Len()

@@ -13,12 +13,12 @@ import (
 
 // TestClosestSeedTieBreak pins the tie rule: with deliberately
 // equidistant seeds, the search must return the lowest bubble ID under
-// every probe order, on the serial path and through a Finder, with and
-// without pruning. Seeds 0 and 1 are 2 apart. The off-line query is √2
-// from both, so Lemma 1 cannot prune either against the other and the
-// explicit tie adoption decides. The midpoint query is 1 from both, so
-// each seed sits exactly 2·minDist from the other — Lemma 1's equality
-// case, where pruning the lower ID would lose the tie.
+// every probe order, with and without pruning. Seeds 0 and 1 are 2
+// apart. The off-line query is √2 from both, so Lemma 1 cannot prune
+// either against the other and the explicit tie adoption decides. The
+// midpoint query is 1 from both, so each seed sits exactly 2·minDist from
+// the other — Lemma 1's equality case, where pruning the lower ID would
+// lose the tie.
 func TestClosestSeedTieBreak(t *testing.T) {
 	seeds := []vecmath.Point{{0, 0}, {2, 0}, {10, 10}}
 	queries := []struct {
@@ -37,30 +37,25 @@ func TestClosestSeedTieBreak(t *testing.T) {
 		{"no-pruning", Options{}},
 	}
 	for _, tc := range cases {
+		s, err := NewSet(2, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range seeds {
+			if _, err := s.AddBubble(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f := s.NewFinder()
 		for _, q := range queries {
 			for seed := int64(1); seed <= 40; seed++ {
-				opts := tc.opts
-				opts.RNG = stats.NewRNG(seed)
-				s, err := NewSet(2, opts)
+				idx, d, err := f.ClosestSeed(q.p, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range seeds {
-					if _, err := s.AddBubble(p); err != nil {
-						t.Fatal(err)
-					}
-				}
-				serialIdx, serialD, err := s.ClosestSeed(q.p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				finderIdx, finderD, err := s.NewFinder().ClosestSeed(q.p, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if serialIdx != 0 || serialD != q.want || finderIdx != 0 || finderD != q.want {
-					t.Fatalf("%s %s seed=%d: serial bubble %d at %g, Finder bubble %d at %g, want bubble 0 at %g",
-						tc.name, q.name, seed, serialIdx, serialD, finderIdx, finderD, q.want)
+				if idx != 0 || d != q.want {
+					t.Fatalf("%s %s seed=%d: bubble %d at %g, want bubble 0 at %g",
+						tc.name, q.name, seed, idx, d, q.want)
 				}
 			}
 		}
@@ -325,44 +320,16 @@ func halfLatticePoint(a, b, c byte) vecmath.Point {
 	return vecmath.Point{float64(a%16) / 2, float64(b%16) / 2, float64(c%16) / 2}
 }
 
-// searchPath is one way to run a Figure 2 search: its name, the search
-// (excl −1 for none; seed orders the probes where the path takes one)
-// and the distance count it accounts into.
-type searchPath struct {
-	name   string
-	search func(q vecmath.Point, excl int, seed int64) (int, float64, error)
-	total  func() uint64
-}
-
 // newSearchMachine returns a matrixMachine that runs the brute-force
 // differential of the Figure 2 search after every operation. Two queries
 // derive from the operation's bytes: a half-lattice point, and the
 // midpoint of two current seeds, which is equidistant from both and half
 // their seed-matrix entry away — Lemma 1's equality case. Each is
 // searched through one reused Finder, with probe seeds derived from
-// probeSeed, and through the serial path, whose set RNG is seeded with
-// probeSeed; each both over all bubbles and with one excluded.
+// probeSeed, both over all bubbles and with one excluded.
 func newSearchMachine(probeSeed int64) *matrixMachine {
-	s, err := NewSet(3, Options{UseTriangleInequality: true, RNG: stats.NewRNG(probeSeed)})
-	if err != nil {
-		panic(err) // the dimension is a positive constant
-	}
-	m := &matrixMachine{set: s}
-	f := s.NewFinder()
-	paths := []searchPath{
-		{"finder", func(q vecmath.Point, excl int, seed int64) (int, float64, error) {
-			if excl < 0 {
-				return f.ClosestSeed(q, seed)
-			}
-			return f.ClosestSeedExcluding(q, excl, seed)
-		}, f.tally.Total},
-		{"serial", func(q vecmath.Point, excl int, _ int64) (int, float64, error) {
-			if excl < 0 {
-				return s.ClosestSeed(q)
-			}
-			return s.ClosestSeedExcluding(q, excl)
-		}, s.Counter().Total},
-	}
+	m := newMatrixMachine(3)
+	f := m.set.NewFinder()
 	searches := 0
 	m.afterOp = func(a, b, c byte) error {
 		queries := []vecmath.Point{halfLatticePoint(a, b, c)}
@@ -374,10 +341,8 @@ func newSearchMachine(probeSeed int64) *matrixMachine {
 		for _, q := range queries {
 			for _, excl := range excls {
 				searches++
-				for _, path := range paths {
-					if err := m.checkSearch(path, q, excl, stats.SubSeed(probeSeed, searches)); err != nil {
-						return err
-					}
+				if err := m.checkSearch(f, q, excl, stats.SubSeed(probeSeed, searches)); err != nil {
+					return err
 				}
 			}
 		}
@@ -386,12 +351,12 @@ func newSearchMachine(probeSeed int64) *matrixMachine {
 	return m
 }
 
-// checkSearch requires one search of q along path, excluding bubble excl
-// (−1 for none), to return the minimum of (distance, bubble ID) over the
-// mirror's seeds with a bit-equal distance — ErrNoBubbles when no seed is
-// a candidate — and to account every candidate seed as computed or
-// pruned exactly once.
-func (m *matrixMachine) checkSearch(path searchPath, q vecmath.Point, excl int, seed int64) error {
+// checkSearch requires one search of q through f with probe seed seed,
+// excluding bubble excl (−1 for none), to return the minimum of
+// (distance, bubble ID) over the mirror's seeds with a bit-equal distance
+// — ErrNoBubbles when no seed is a candidate — and to account every
+// candidate seed as computed or pruned exactly once.
+func (m *matrixMachine) checkSearch(f *Finder, q vecmath.Point, excl int, seed int64) error {
 	want, wantD, candidates := -1, 0.0, 0
 	for i, p := range m.seeds {
 		if i == excl {
@@ -402,20 +367,27 @@ func (m *matrixMachine) checkSearch(path searchPath, q vecmath.Point, excl int, 
 			want, wantD = i, d
 		}
 	}
-	before := path.total()
-	idx, d, err := path.search(q, excl, seed)
-	accounted := path.total() - before
+	before := f.tally.Total()
+	var idx int
+	var d float64
+	var err error
+	if excl < 0 {
+		idx, d, err = f.ClosestSeed(q, seed)
+	} else {
+		idx, d, err = f.ClosestSeedExcluding(q, excl, seed)
+	}
+	accounted := f.tally.Total() - before
 	switch {
 	case want < 0 && !errors.Is(err, ErrNoBubbles):
-		return fmt.Errorf("%s search of %v excluding %d among %d seeds: err %v, want ErrNoBubbles", path.name, q, excl, m.len(), err)
+		return fmt.Errorf("search of %v excluding %d among %d seeds: err %v, want ErrNoBubbles", q, excl, m.len(), err)
 	case want >= 0 && err != nil:
-		return fmt.Errorf("%s search of %v excluding %d: %w", path.name, q, excl, err)
+		return fmt.Errorf("search of %v excluding %d: %w", q, excl, err)
 	case want >= 0 && (idx != want || math.Float64bits(d) != math.Float64bits(wantD)):
-		return fmt.Errorf("%s search of %v excluding %d = bubble %d at %v, brute force bubble %d at %v",
-			path.name, q, excl, idx, d, want, wantD)
+		return fmt.Errorf("search of %v excluding %d = bubble %d at %v, brute force bubble %d at %v",
+			q, excl, idx, d, want, wantD)
 	case accounted != uint64(candidates):
-		return fmt.Errorf("%s search of %v excluding %d accounted %d distances for %d candidates",
-			path.name, q, excl, accounted, candidates)
+		return fmt.Errorf("search of %v excluding %d accounted %d distances for %d candidates",
+			q, excl, accounted, candidates)
 	}
 	return nil
 }
@@ -441,7 +413,7 @@ func TestClosestSeedChurnTraces(t *testing.T) {
 
 // FuzzClosestSeed runs FuzzSeedMatrix's byte programs with a fuzzed probe
 // seed and, after every operation, checks Figure 2 searches through a
-// Finder and the serial path against a brute-force scan.
+// Finder against a brute-force scan.
 func FuzzClosestSeed(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), midpointProgram)

@@ -24,11 +24,11 @@ type Options struct {
 	// Counter receives all distance computations and prunes. Optional; a
 	// private counter is used when nil.
 	Counter *vecmath.Counter
-	// RNG draws Build's seed sample and the base values the Figure 2
-	// probe streams are seeded from: one per Build and one per serial
-	// ClosestSeed search. The probe streams themselves are O(1)-seeded
-	// SplitMix64 values that only order a search's probes, never change
-	// its answer. Optional; a fixed-seed RNG is used when nil.
+	// RNG draws Build's seed sample and then the base value its Figure 2
+	// probe streams are derived from. The probe streams themselves are
+	// O(1)-seeded SplitMix64 values that only order a search's probes,
+	// never change its answer. Only Build reads it; optional, a seed-1
+	// RNG is used when nil.
 	RNG *stats.RNG
 	// Workers bounds the worker pool of Build's phase-1 closest-seed
 	// fan-out. ≤0 selects GOMAXPROCS; 1 forces the serial path. The built
@@ -50,8 +50,6 @@ type Set struct {
 	owner    map[dataset.PointID]int
 	seedDist *seedMatrix
 	counter  *vecmath.Counter
-	rng      *stats.RNG
-	scratch  []int // reusable candidate buffer for closestSeed
 	// statsOnly marks a set restored from a snapshot that carried no
 	// member IDs: bubble counts are trusted but the ownership map covers
 	// only points assigned after the restore, so it is a subset of — not
@@ -77,13 +75,9 @@ func NewSet(dim int, opts Options) (*Set, error) {
 		opts:    opts,
 		owner:   make(map[dataset.PointID]int),
 		counter: opts.Counter,
-		rng:     opts.RNG,
 	}
 	if s.counter == nil {
 		s.counter = &vecmath.Counter{}
-	}
-	if s.rng == nil {
-		s.rng = stats.NewRNG(1)
 	}
 	if opts.UseTriangleInequality {
 		s.seedDist = &seedMatrix{counter: s.counter}
@@ -181,161 +175,6 @@ func (s *Set) Owner(id dataset.PointID) (int, bool) {
 
 // OwnedPoints returns the number of points with an ownership entry.
 func (s *Set) OwnedPoints() int { return len(s.owner) }
-
-// ClosestSeed finds the bubble whose seed is closest to p, the lowest
-// bubble ID among equidistant seeds. With triangle-inequality pruning
-// enabled it runs the Figure 2 algorithm against the precomputed seed
-// distance matrix; otherwise it scans all seeds. Each call seeds its probe
-// stream from one draw of the set's RNG. The returned distance is
-// dist(p, seed of winner).
-func (s *Set) ClosestSeed(p vecmath.Point) (int, float64, error) {
-	return s.closestSeed(p, -1)
-}
-
-// ClosestSeedExcluding is ClosestSeed over all bubbles except index excl —
-// the "next closest data bubble" lookup used when an under-filled bubble
-// releases its points (§4.2).
-func (s *Set) ClosestSeedExcluding(p vecmath.Point, excl int) (int, float64, error) {
-	return s.closestSeed(p, excl)
-}
-
-func (s *Set) closestSeed(p vecmath.Point, excl int) (int, float64, error) {
-	probe := probeStream(s.rng.Int63())
-	return s.searchClosest(p, excl, &probe, &s.scratch, s.counter)
-}
-
-// distSink receives the distance accounting of one search. Both the shared
-// atomic *vecmath.Counter and a worker-private *vecmath.Tally satisfy it.
-type distSink interface {
-	Distance(p, q vecmath.Point) float64
-	PruneN(n int)
-}
-
-// searchClosest is the Figure 2 closest-seed search with all mutable state
-// — probe stream, candidate scratch buffer, distance accounting — passed
-// in by the caller. Against a set that is not being mutated it only reads
-// the seed positions and the seed distance matrix, so any number of
-// searches with distinct (probe, scratch, sink) triples may run
-// concurrently; that is the read-only phase 1 of the parallel assignment
-// pipeline.
-//
-// The winner is the minimum of (distance, bubble ID) over every
-// candidate seed — the brute-force answer — whatever the probe order:
-// Lemma 1 prunes a seed only when it is provably farther than the
-// current candidate, or provably no closer and of higher ID, and a probe
-// replaces the candidate only when it is closer, or equidistant with a
-// lower ID. The probe order moves only the computed/pruned split of the
-// distance accounting, whose sum is always the candidate count.
-//
-//lint:hotpath
-func (s *Set) searchClosest(p vecmath.Point, excl int, probe *probeStream, scratch *[]int, sink distSink) (int, float64, error) {
-	n := len(s.bubbles)
-	if n == 0 || (n == 1 && excl == 0) {
-		return 0, 0, ErrNoBubbles
-	}
-	if !s.opts.UseTriangleInequality {
-		// Ascending scan with a strict < already breaks exact-distance
-		// ties toward the lowest bubble ID.
-		best, bestD := -1, 0.0
-		for i, b := range s.bubbles {
-			if i == excl {
-				continue
-			}
-			d := sink.Distance(p, b.seed)
-			if best < 0 || d < bestD {
-				best, bestD = i, d
-			}
-		}
-		return best, bestD, nil
-	}
-
-	// Figure 2: CandidateSeeds starts as all seeds; a random candidate is
-	// probed, all seeds Lemma 1 rules out are pruned, then a random
-	// unpruned seed is probed, updating the candidate when it wins, until
-	// no candidates remain.
-	if cap(*scratch) < n {
-		//lint:allow hotpathalloc candidate scratch grows to the bubble count once, then is reused by every search
-		*scratch = make([]int, 0, n)
-	}
-	cands := (*scratch)[:0]
-	for i := range s.bubbles {
-		if i != excl {
-			//lint:allow hotpathalloc appends into the preallocated scratch, whose capacity is at least n by the check above
-			cands = append(cands, i)
-		}
-	}
-	var sc int
-	sc, cands = pickCand(probe, cands)
-	minDist := sink.Distance(p, s.bubbles[sc].seed)
-	pruned := 0
-	for len(cands) > 0 {
-		// Prune everything Lemma 1 rules out with the current candidate,
-		// scanning its row of the seed distance matrix. By the triangle
-		// inequality d(p, s_j) ≥ d(s_j, s_c) − minDist: past 2·minDist
-		// seed j is strictly farther than the candidate, and at exactly
-		// 2·minDist it can at best tie it, which only a lower ID wins.
-		row := s.seedDist.dist[sc]
-		kept := cands[:0]
-		for _, j := range cands {
-			//lint:allow floatsafe a seed exactly 2·minDist away may be equidistant with the candidate, so it is pruned only when its higher ID would lose that tie
-			if row[j] > 2*minDist || (row[j] == 2*minDist && j > sc) {
-				pruned++
-				continue
-			}
-			//lint:allow hotpathalloc kept filters cands in place over the same backing array and never outgrows it
-			kept = append(kept, j)
-		}
-		cands = kept
-		// Probe unpruned seeds until one improves on the candidate. An
-		// exact-distance tie is adopted only from a lower bubble ID, so
-		// the candidate strictly decreases in (distance, ID) order and a
-		// probed seed that loses is never the winner.
-		improved := false
-		for len(cands) > 0 {
-			var j int
-			j, cands = pickCand(probe, cands)
-			d := sink.Distance(p, s.bubbles[j].seed)
-			//lint:allow floatsafe equidistant seeds resolve to the lowest bubble ID so assignment is probe-order independent
-			if d < minDist || (d == minDist && j < sc) {
-				sc, minDist = j, d
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	sink.PruneN(pruned)
-	return sc, minDist, nil
-}
-
-// pickCand removes and returns a uniformly random element of cands,
-// swapping the last element into its place. A named function rather than a
-// closure inside searchClosest so the hot path allocates nothing.
-//
-//lint:hotpath
-func pickCand(probe *probeStream, cands []int) (int, []int) {
-	k := probe.intn(len(cands))
-	idx := cands[k]
-	cands[k] = cands[len(cands)-1]
-	return idx, cands[:len(cands)-1]
-}
-
-// AssignClosest finds the closest bubble for point p, absorbs the point
-// there and records ownership. It returns the chosen bubble index.
-func (s *Set) AssignClosest(id dataset.PointID, p vecmath.Point) (int, error) {
-	if _, dup := s.owner[id]; dup {
-		return 0, fmt.Errorf("bubble: point %d already assigned", id)
-	}
-	i, _, err := s.ClosestSeed(p)
-	if err != nil {
-		return 0, err
-	}
-	s.bubbles[i].absorb(id, p)
-	s.owner[id] = i
-	return i, nil
-}
 
 // AssignTo absorbs point p into bubble i unconditionally (used by split,
 // which distributes points between exactly two new seeds).

@@ -16,7 +16,6 @@ func newTestSet(t *testing.T, seeds []vecmath.Point, ti bool) *Set {
 	s, err := NewSet(len(seeds[0]), Options{
 		UseTriangleInequality: ti,
 		TrackMembers:          true,
-		RNG:                   stats.NewRNG(7),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +26,23 @@ func newTestSet(t *testing.T, seeds []vecmath.Point, ti bool) *Set {
 		}
 	}
 	return s
+}
+
+// closest runs one Figure 2 search through a fresh Finder and flushes its
+// distance accounting into the set's counter.
+func closest(s *Set, p vecmath.Point) (int, float64, error) {
+	f := s.NewFinder()
+	defer f.Flush()
+	return f.ClosestSeed(p, 1)
+}
+
+// assignClosest absorbs point p into the bubble closest finds for it.
+func assignClosest(s *Set, id dataset.PointID, p vecmath.Point) (int, error) {
+	i, _, err := closest(s, p)
+	if err != nil {
+		return 0, err
+	}
+	return i, s.AssignTo(i, id, p)
 }
 
 func TestNewSetValidation(t *testing.T) {
@@ -100,15 +116,15 @@ func TestSetSeedErrors(t *testing.T) {
 func TestClosestSeedBasic(t *testing.T) {
 	seeds := []vecmath.Point{{0, 0}, {10, 0}, {0, 10}}
 	for _, ti := range []bool{false, true} {
-		s := newTestSet(t, seeds, ti)
-		i, d, err := s.ClosestSeed(vecmath.Point{1, 1})
+		f := newTestSet(t, seeds, ti).NewFinder()
+		i, d, err := f.ClosestSeed(vecmath.Point{1, 1}, 1)
 		if err != nil || i != 0 {
 			t.Fatalf("ti=%v: ClosestSeed=(%d,%v,%v)", ti, i, d, err)
 		}
 		if math.Abs(d-math.Sqrt(2)) > 1e-12 {
 			t.Fatalf("ti=%v: dist=%v", ti, d)
 		}
-		i, _, err = s.ClosestSeedExcluding(vecmath.Point{1, 1}, 0)
+		i, _, err = f.ClosestSeedExcluding(vecmath.Point{1, 1}, 0, 2)
 		if err != nil || i == 0 {
 			t.Fatalf("ti=%v: Excluding returned %d err=%v", ti, i, err)
 		}
@@ -117,7 +133,7 @@ func TestClosestSeedBasic(t *testing.T) {
 
 func TestClosestSeedEmptySet(t *testing.T) {
 	s, _ := NewSet(2, Options{})
-	if _, _, err := s.ClosestSeed(vecmath.Point{0, 0}); !errors.Is(err, ErrNoBubbles) {
+	if _, _, err := closest(s, vecmath.Point{0, 0}); !errors.Is(err, ErrNoBubbles) {
 		t.Errorf("err=%v", err)
 	}
 }
@@ -133,16 +149,17 @@ func TestTriangleInequalityMatchesBruteForce(t *testing.T) {
 		for i := range seeds {
 			seeds[i] = rng.GaussianPoint(make(vecmath.Point, d), 50)
 		}
-		ti, _ := NewSet(d, Options{UseTriangleInequality: true, RNG: stats.NewRNG(seed + 1)})
+		ti, _ := NewSet(d, Options{UseTriangleInequality: true})
 		bf, _ := NewSet(d, Options{UseTriangleInequality: false})
 		for _, p := range seeds {
 			ti.AddBubble(p)
 			bf.AddBubble(p)
 		}
+		fTI, fBF := ti.NewFinder(), bf.NewFinder()
 		for trial := 0; trial < 20; trial++ {
 			p := rng.GaussianPoint(make(vecmath.Point, d), 80)
-			_, dTI, err1 := ti.ClosestSeed(p)
-			_, dBF, err2 := bf.ClosestSeed(p)
+			_, dTI, err1 := fTI.ClosestSeed(p, stats.SubSeed(seed, trial))
+			_, dBF, err2 := fBF.ClosestSeed(p, stats.SubSeed(seed, trial))
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -168,7 +185,7 @@ func TestTriangleInequalityActuallyPrunes(t *testing.T) {
 	s.Counter().Reset() // discard matrix-construction counts
 	for i := 0; i < 500; i++ {
 		p := vecmath.Point{rng.Uniform(0, 1900), rng.Uniform(-5, 5)}
-		if _, _, err := s.ClosestSeed(p); err != nil {
+		if _, _, err := closest(s, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,11 +204,11 @@ func TestTriangleInequalityActuallyPrunes(t *testing.T) {
 
 func TestAssignReleaseOwnership(t *testing.T) {
 	s := newTestSet(t, []vecmath.Point{{0, 0}, {100, 100}}, true)
-	i, err := s.AssignClosest(1, vecmath.Point{1, 1})
+	i, err := assignClosest(s, 1, vecmath.Point{1, 1})
 	if err != nil || i != 0 {
-		t.Fatalf("AssignClosest=(%d,%v)", i, err)
+		t.Fatalf("assignClosest=(%d,%v)", i, err)
 	}
-	if _, err := s.AssignClosest(1, vecmath.Point{1, 1}); err == nil {
+	if _, err := assignClosest(s, 1, vecmath.Point{1, 1}); err == nil {
 		t.Error("duplicate assignment accepted")
 	}
 	owner, ok := s.Owner(1)
@@ -235,10 +252,10 @@ func TestAssignTo(t *testing.T) {
 func TestBetas(t *testing.T) {
 	s := newTestSet(t, []vecmath.Point{{0, 0}, {100, 100}}, false)
 	for i := 0; i < 8; i++ {
-		s.AssignClosest(dataset.PointID(i), vecmath.Point{0, float64(i)})
+		assignClosest(s, dataset.PointID(i), vecmath.Point{0, float64(i)})
 	}
 	for i := 8; i < 10; i++ {
-		s.AssignClosest(dataset.PointID(i), vecmath.Point{100, 100})
+		assignClosest(s, dataset.PointID(i), vecmath.Point{100, 100})
 	}
 	betas := s.Betas(10)
 	if math.Abs(betas[0]-0.8) > 1e-12 || math.Abs(betas[1]-0.2) > 1e-12 {
@@ -311,9 +328,9 @@ func TestBuildValidation(t *testing.T) {
 
 func TestTotalCompactness(t *testing.T) {
 	s := newTestSet(t, []vecmath.Point{{0, 0}, {10, 10}}, false)
-	s.AssignClosest(1, vecmath.Point{0, 0})
-	s.AssignClosest(2, vecmath.Point{0, 2})
-	s.AssignClosest(3, vecmath.Point{10, 10})
+	assignClosest(s, 1, vecmath.Point{0, 0})
+	assignClosest(s, 2, vecmath.Point{0, 2})
+	assignClosest(s, 3, vecmath.Point{10, 10})
 	// Bubble 0 holds (0,0),(0,2): rep (0,1), compactness 1+1=2.
 	if got := s.TotalCompactness(); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("TotalCompactness=%v", got)
@@ -322,7 +339,7 @@ func TestTotalCompactness(t *testing.T) {
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	s := newTestSet(t, []vecmath.Point{{0, 0}}, true)
-	s.AssignClosest(1, vecmath.Point{0, 0})
+	assignClosest(s, 1, vecmath.Point{0, 0})
 	// Corrupt: ownership entry for a point the bubble doesn't know.
 	s.owner[99] = 0
 	if err := s.CheckInvariants(); err == nil {

@@ -3,15 +3,13 @@ package cf
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
-	"incbubbles/internal/stats"
 	"incbubbles/internal/vecmath"
 )
 
 func TestFeatureBasics(t *testing.T) {
 	f := NewFeature(2)
-	if f.N() != 0 || f.Radius() != 0 || f.Diameter() != 0 || f.Centroid() != nil {
+	if f.N() != 0 || f.Radius() != 0 || f.Centroid() != nil {
 		t.Fatal("empty feature stats wrong")
 	}
 	if err := f.Add(vecmath.Point{0, 0}); err != nil {
@@ -23,12 +21,9 @@ func TestFeatureBasics(t *testing.T) {
 	if !f.Centroid().Equal(vecmath.Point{1, 0}) {
 		t.Fatalf("centroid=%v", f.Centroid())
 	}
-	// Radius: RMS distance to centroid = 1. Diameter: RMS pairwise = 2.
+	// Radius: RMS distance to centroid = 1.
 	if math.Abs(f.Radius()-1) > 1e-12 {
 		t.Fatalf("radius=%v", f.Radius())
-	}
-	if math.Abs(f.Diameter()-2) > 1e-12 {
-		t.Fatalf("diameter=%v", f.Diameter())
 	}
 	if err := f.Add(vecmath.Point{1}); err == nil {
 		t.Fatal("wrong-dim Add accepted")
@@ -60,34 +55,6 @@ func TestFeatureRemove(t *testing.T) {
 	}
 }
 
-func TestFeatureMergeAdditivity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := stats.NewRNG(seed)
-		d := 1 + rng.Intn(4)
-		a := NewFeature(d)
-		b := NewFeature(d)
-		all := NewFeature(d)
-		for i := 0; i < 20; i++ {
-			p := rng.GaussianPoint(make(vecmath.Point, d), 10)
-			all.Add(p)
-			if i%2 == 0 {
-				a.Add(p)
-			} else {
-				b.Add(p)
-			}
-		}
-		if err := a.Merge(b); err != nil {
-			return false
-		}
-		return a.N() == all.N() &&
-			math.Abs(a.SS()-all.SS()) < 1e-9*(1+all.SS()) &&
-			vecmath.Distance(a.LS(), all.LS()) < 1e-9*(1+all.LS().Norm())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFromPoints(t *testing.T) {
 	if _, err := FromPoints(nil); err == nil {
 		t.Fatal("empty FromPoints accepted")
@@ -98,126 +65,5 @@ func TestFromPoints(t *testing.T) {
 	}
 	if _, err := FromPoints([]vecmath.Point{{0, 0}, {4}}); err == nil {
 		t.Fatal("mixed dims accepted")
-	}
-}
-
-func TestMergedRadiusDoesNotMutate(t *testing.T) {
-	a, _ := FromPoints([]vecmath.Point{{0}})
-	b, _ := FromPoints([]vecmath.Point{{10}})
-	r := a.MergedRadius(b)
-	if r <= 0 {
-		t.Fatalf("merged radius=%v", r)
-	}
-	if a.N() != 1 || b.N() != 1 {
-		t.Fatal("MergedRadius mutated operand")
-	}
-}
-
-func TestNewTreeValidation(t *testing.T) {
-	if _, err := NewTree(0, TreeParams{Threshold: 1}); err == nil {
-		t.Error("dim 0 accepted")
-	}
-	if _, err := NewTree(2, TreeParams{Threshold: -1}); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if _, err := NewTree(2, TreeParams{Threshold: 1, Branching: 1}); err == nil {
-		t.Error("branching 1 accepted")
-	}
-	if _, err := NewTree(2, TreeParams{Threshold: 1, LeafEntries: -1}); err == nil {
-		t.Error("negative leaf entries accepted")
-	}
-	tr, err := NewTree(2, TreeParams{Threshold: 1})
-	if err != nil || tr.Params().Branching != 8 || tr.Params().LeafEntries != 8 {
-		t.Fatalf("defaults wrong: %+v err=%v", tr.Params(), err)
-	}
-}
-
-func TestTreeInsertAndInvariants(t *testing.T) {
-	rng := stats.NewRNG(1)
-	tr, err := NewTree(2, TreeParams{Threshold: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	centers := []vecmath.Point{{0, 0}, {50, 50}, {100, 0}}
-	for i := 0; i < 900; i++ {
-		c := centers[i%3]
-		if err := tr.Insert(rng.GaussianPoint(c, 1.5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Len() != 900 {
-		t.Fatalf("Len=%d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	leaves := tr.Leaves()
-	var total int
-	for _, l := range leaves {
-		total += l.N()
-		if l.Radius() > 0.8+1e-9 {
-			t.Fatalf("leaf radius %v exceeds threshold", l.Radius())
-		}
-	}
-	if total != 900 {
-		t.Fatalf("leaves sum to %d", total)
-	}
-	// Compression actually happened: far fewer leaves than points.
-	if len(leaves) >= 900 || len(leaves) < 3 {
-		t.Fatalf("leaf count=%d", len(leaves))
-	}
-	if tr.Height() < 2 {
-		t.Fatalf("tree never split: height=%d", tr.Height())
-	}
-	if err := tr.Insert(vecmath.Point{1}); err == nil {
-		t.Fatal("wrong-dim insert accepted")
-	}
-}
-
-func TestTreeThresholdControlsGranularity(t *testing.T) {
-	rng := stats.NewRNG(2)
-	pts := make([]vecmath.Point, 500)
-	for i := range pts {
-		pts[i] = rng.GaussianPoint(vecmath.Point{0, 0}, 5)
-	}
-	count := func(th float64) int {
-		tr, _ := NewTree(2, TreeParams{Threshold: th})
-		for _, p := range pts {
-			tr.Insert(p)
-		}
-		return len(tr.Leaves())
-	}
-	tight, loose := count(0.5), count(10)
-	if tight <= loose {
-		t.Fatalf("tight threshold (%d leaves) should exceed loose (%d)", tight, loose)
-	}
-	if loose != 1 {
-		t.Fatalf("very loose threshold should absorb everything: %d leaves", loose)
-	}
-}
-
-// Property: tree conserves mass and satisfies invariants under random
-// insertion orders and parameters.
-func TestTreeConservationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := stats.NewRNG(seed)
-		tr, err := NewTree(2, TreeParams{
-			Threshold:   rng.Uniform(0.2, 5),
-			Branching:   2 + rng.Intn(6),
-			LeafEntries: 1 + rng.Intn(6),
-		})
-		if err != nil {
-			return false
-		}
-		n := 50 + rng.Intn(300)
-		for i := 0; i < n; i++ {
-			if err := tr.Insert(rng.GaussianPoint(vecmath.Point{0, 0}, 20)); err != nil {
-				return false
-			}
-		}
-		return tr.Len() == n && tr.CheckInvariants() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

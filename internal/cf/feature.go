@@ -1,10 +1,8 @@
-// Package cf implements BIRCH clustering features and the CF-tree (Zhang,
-// Ramakrishnan, Livny 1996). The paper uses clustering features as its
-// point of contrast: CFs absorb points under a global spatial-extent
-// threshold — exactly the quality notion §4.1 argues is unsuited to
-// incremental data summarization — and Breunig et al. [5] showed data
-// bubbles outperform CFs for hierarchical clustering. This package makes
-// both comparisons reproducible.
+// Package cf implements BIRCH clustering features (Zhang, Ramakrishnan,
+// Livny 1996). The paper uses clustering features as its point of
+// contrast: Breunig et al. [5] showed data bubbles outperform CFs for
+// hierarchical clustering, and optics.CFSpace clusters CFs built from the
+// bubbles' own memberships to make that comparison reproducible.
 package cf
 
 import (
@@ -87,17 +85,6 @@ func (f *Feature) Remove(p vecmath.Point) error {
 	return nil
 }
 
-// Merge adds the contents of other into f (the CF additivity property).
-func (f *Feature) Merge(other *Feature) error {
-	if other.Dim() != f.Dim() {
-		return errors.New("cf: dimensionality mismatch")
-	}
-	f.n += other.n
-	f.ls.AddInPlace(other.ls)
-	f.ss += other.ss
-	return nil
-}
-
 // Clone returns a deep copy of f.
 func (f *Feature) Clone() *Feature {
 	return &Feature{n: f.n, ls: f.ls.Clone(), ss: f.ss}
@@ -123,46 +110,6 @@ func (f *Feature) Radius() float64 {
 		return 0
 	}
 	return math.Sqrt(r2)
-}
-
-// Diameter returns the BIRCH diameter: the RMS pairwise distance,
-// sqrt((2n·SS − 2|LS|²)/(n(n−1))).
-func (f *Feature) Diameter() float64 {
-	if f.n < 2 {
-		return 0
-	}
-	nf := float64(f.n)
-	d2 := (2*nf*f.ss - 2*f.ls.Norm2()) / (nf * (nf - 1))
-	if d2 <= 0 {
-		return 0
-	}
-	return math.Sqrt(d2)
-}
-
-// centroidDistances tallies every D0 evaluation the package performs, so
-// the CF baseline's distance work is measurable next to the data-bubble
-// accounting (compare deltas of DistanceCounter across a build).
-var centroidDistances = new(vecmath.Counter)
-
-// DistanceCounter returns the package-wide tally of centroid-distance
-// computations. Read it with Snapshot deltas; it is shared by every tree.
-func DistanceCounter() *vecmath.Counter { return centroidDistances }
-
-// CentroidDistance returns the distance between the centroids of f and
-// other (the D0 metric of BIRCH).
-func (f *Feature) CentroidDistance(other *Feature) float64 {
-	if f.n == 0 || other.n == 0 {
-		return math.Inf(1)
-	}
-	return centroidDistances.Distance(f.Centroid(), other.Centroid())
-}
-
-// MergedRadius returns the radius the union of f and other would have,
-// without mutating either. Used for the absorption test during insertion.
-func (f *Feature) MergedRadius(other *Feature) float64 {
-	m := f.Clone()
-	_ = m.Merge(other)
-	return m.Radius()
 }
 
 // String formats the feature for diagnostics.

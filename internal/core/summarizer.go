@@ -353,11 +353,7 @@ func Load(db *dataset.DB, snapshot io.Reader, opts Options, batches, totalRebuil
 	if batches < 0 || totalRebuilt < 0 {
 		return nil, errors.New("core: negative progress counters")
 	}
-	rng := stats.NewRNG(seed)
-	set, err := bubble.Load(snapshot, bubble.Options{
-		Counter: opts.Counter,
-		RNG:     rng,
-	})
+	set, err := bubble.Load(snapshot, bubble.Options{Counter: opts.Counter})
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +363,7 @@ func Load(db *dataset.DB, snapshot io.Reader, opts Options, batches, totalRebuil
 	if !set.OwnershipComplete() {
 		return nil, errors.New("core: snapshot has no member ownership; cannot maintain it incrementally")
 	}
-	s := finishConstruct(db, set, cfg, seed, rng, opts)
+	s := finishConstruct(db, set, cfg, seed, stats.NewRNG(seed), opts)
 	s.batches = batches
 	s.totalRebuilt = totalRebuilt
 	return s, nil

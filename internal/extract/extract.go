@@ -1,8 +1,7 @@
 // Package extract implements automatic cluster extraction from OPTICS
 // reachability plots using the cluster-tree method of Sander, Qin, Lu, Niu
 // and Kovarsky (PAKDD 2003) — the paper's citation [16], used to obtain the
-// flat clusterings whose F-scores Table 1 reports — plus a simple
-// horizontal-cut extraction for examples and ablations.
+// flat clusterings whose F-scores Table 1 reports.
 //
 // All routines operate on weighted orderings: each entry may represent
 // several database points (data bubbles), and size thresholds count points
@@ -265,44 +264,4 @@ func Labels(entries []optics.Entry, root *Node) []int {
 // per-entry leaf labels.
 func ExtractTree(entries []optics.Entry, params Params) []int {
 	return Labels(entries, Tree(entries, params))
-}
-
-// ExtractThreshold performs the classical horizontal cut (the
-// ExtractDBSCAN-Clustering procedure of the OPTICS paper): an entry with
-// reachability above t closes the current cluster and — if its own core
-// distance is within t — opens a new one; entries below t extend the
-// current cluster. Clusters lighter than minWeight points are relabelled
-// noise. It returns per-entry labels.
-func ExtractThreshold(entries []optics.Entry, t float64, minWeight int) []int {
-	labels := make([]int, len(entries))
-	for i := range labels {
-		labels[i] = Noise
-	}
-	next := 0
-	var open []int // entry indices of the cluster being built
-	flush := func() {
-		w := 0
-		for _, i := range open {
-			w += entries[i].Weight
-		}
-		if w >= minWeight {
-			for _, i := range open {
-				labels[i] = next
-			}
-			next++
-		}
-		open = open[:0]
-	}
-	for i, e := range entries {
-		if e.Reach > t {
-			flush()
-			if e.Core <= t {
-				open = append(open, i) // starts the next cluster
-			}
-			continue
-		}
-		open = append(open, i)
-	}
-	flush()
-	return labels
 }

@@ -127,33 +127,6 @@ func TestExtractTreeConvenience(t *testing.T) {
 	}
 }
 
-func TestExtractThreshold(t *testing.T) {
-	entries := mkEntries([]float64{math.Inf(1), 1, 1, 1, 50, 1, 1, 1})
-	entries[0].Core = 0.5
-	entries[4].Core = 0.5 // reachable start of second cluster
-	labels := ExtractThreshold(entries, 10, 2)
-	if labels[1] != labels[0] || labels[1] == Noise {
-		t.Fatalf("labels=%v", labels)
-	}
-	if labels[4] != labels[5] || labels[4] == labels[1] {
-		t.Fatalf("labels=%v", labels)
-	}
-	// Core above threshold: the boundary entry is noise.
-	entries[4].Core = 99
-	labels = ExtractThreshold(entries, 10, 2)
-	if labels[4] != Noise {
-		t.Fatalf("noise boundary labelled: %v", labels)
-	}
-	// minWeight suppresses small clusters.
-	labels = ExtractThreshold(entries, 10, 100)
-	for i, l := range labels {
-		if l != Noise {
-			t.Fatalf("entry %d labelled %d despite minWeight", i, l)
-		}
-	}
-}
-
-// End-to-end: OPTICS on three Gaussian clusters → tree extraction finds 3.
 func TestEndToEndPointExtraction(t *testing.T) {
 	rng := stats.NewRNG(11)
 	var items []kdtree.Item

@@ -25,8 +25,7 @@ type Neighbor struct {
 }
 
 // Tree is an immutable k-d tree. Query-time distance computations are
-// tallied into a counter (a private one by default; SetCounter shares an
-// external one).
+// tallied into the tree's own counter.
 type Tree struct {
 	dim     int
 	items   []Item // reordered into tree layout
@@ -63,17 +62,7 @@ func Build(items []Item) (*Tree, error) {
 	return t, nil
 }
 
-// SetCounter makes subsequent queries tally distance computations into c
-// (e.g. the summarizer's shared counter). A nil c restores the private
-// counter behaviour.
-func (t *Tree) SetCounter(c *vecmath.Counter) {
-	if c == nil {
-		c = new(vecmath.Counter)
-	}
-	t.counter = c
-}
-
-// Counter returns the counter queries currently tally into.
+// Counter returns the counter queries tally into.
 func (t *Tree) Counter() *vecmath.Counter { return t.counter }
 
 // build arranges items[lo:hi] into a subtree and returns its node index.

@@ -144,26 +144,6 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// Map invokes fn(i) for every i in [0,n) with at most workers goroutines
-// and returns the results in index order. On failure the partial results
-// are discarded and the first error in index order is returned, with the
-// same early-cancel, cancellation and panic-recovery behaviour as ForEach.
-func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ForEachWorker partitions [0,n) into contiguous chunks (ChunkRange), one
 // per worker. Worker w first obtains private state from setup(w), then
 // receives fn(state, i) for every index i of its chunk in ascending order.

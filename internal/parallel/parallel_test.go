@@ -144,38 +144,6 @@ func TestForEachEarlyCancel(t *testing.T) {
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	out, err := Map(context.Background(), 50, 8, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d]=%d", i, v)
-		}
-	}
-}
-
-func TestMapError(t *testing.T) {
-	boom := errors.New("boom")
-	out, err := Map(context.Background(), 10, 2, func(i int) (int, error) {
-		if i == 4 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if err != boom || out != nil {
-		t.Fatalf("out=%v err=%v", out, err)
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	out, err := Map(context.Background(), 0, 4, func(int) (string, error) { return "x", nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("out=%v err=%v", out, err)
-	}
-}
-
 func TestChunkRangeCoversAll(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		for workers := 1; workers <= 9; workers++ {
@@ -484,14 +452,5 @@ func TestForEachWorkerCancelStillMerges(t *testing.T) {
 	}
 	if merged == 0 {
 		t.Fatal("no worker state merged after cancellation")
-	}
-}
-
-func TestMapCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := Map(ctx, 10, 2, func(i int) (int, error) { return i, nil })
-	if !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("out=%v err=%v", out, err)
 	}
 }

@@ -30,7 +30,6 @@ const (
 	ReasonDeadline       = "deadline"
 	ReasonBadRequest     = "bad_request"
 	ReasonUnknownTenant  = "unknown_tenant"
-	ReasonTenantExists   = "tenant_exists"
 	ReasonConfigMismatch = "config_mismatch"
 	ReasonIngestFailed   = "ingest_failed"
 	ReasonCreateFailed   = "create_failed"
@@ -77,6 +76,16 @@ type ingestReply struct {
 const (
 	maxHistogramBins = 1 << 12
 	maxApproxSamples = 1 << 14
+)
+
+// Caps on the client-chosen resources of a tenant: queue_depth sizes the
+// ingest queue's allocation, and retry_attempts bounds how long a
+// persistent checkpoint fault keeps the write-behind writer (and a
+// drain's final checkpoint) retrying. A value above its cap is a
+// rejected create that writes nothing; New refuses such defaults.
+const (
+	maxQueueDepth    = 1 << 12
+	maxRetryAttempts = 16
 )
 
 type rangeCountBody struct {
@@ -285,7 +294,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrTenantExists):
 		writeJSON(w, http.StatusOK, st) // idempotent re-create
 	case errors.Is(err, ErrBadTenantName), errors.Is(err, ErrConfigMismatch), errors.Is(err, ErrBadBootstrap),
-		errors.Is(err, ErrMissingDim):
+		errors.Is(err, ErrMissingDim), errors.Is(err, ErrAboveCap):
 		reason := ReasonBadRequest
 		if errors.Is(err, ErrConfigMismatch) {
 			reason = ReasonConfigMismatch

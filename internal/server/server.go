@@ -28,6 +28,7 @@ import (
 	"incbubbles/internal/failpoint"
 	"incbubbles/internal/retry"
 	"incbubbles/internal/trace"
+	"incbubbles/internal/wal"
 )
 
 // Common errors. Handlers map them onto status codes and machine-
@@ -42,6 +43,7 @@ var (
 	ErrConfigMismatch = errors.New("server: tenant config mismatch")
 	ErrBadBootstrap   = errors.New("server: bootstrap must supply at least as many points as bubbles")
 	ErrMissingDim     = errors.New("server: tenant config needs dim > 0")
+	ErrAboveCap       = errors.New("server: tenant config value above its cap")
 	ErrBadBatch       = errors.New("server: bad batch")
 )
 
@@ -96,7 +98,7 @@ type TenantConfig struct {
 	// Seed overrides the derived per-tenant seed when non-zero.
 	Seed int64 `json:"seed,omitempty"`
 	// QueueDepth bounds the ingest queue; admission returns 429 beyond
-	// it (≤0 selects 16).
+	// it (≤0 selects 16, at most maxQueueDepth).
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// PipelineDepth is decoded and ignored.
 	//
@@ -114,7 +116,8 @@ type TenantConfig struct {
 	// stays so configs and tenant.json files that set it still decode.
 	GroupCommit int `json:"group_commit,omitempty"`
 	// RetryAttempts bounds the WAL's in-place checkpoint retries
-	// (internal/retry seeded-jitter backoff; ≤0 selects 3, 1 disables).
+	// (internal/retry seeded-jitter backoff; ≤0 selects 3, 1 disables,
+	// at most maxRetryAttempts).
 	RetryAttempts int `json:"retry_attempts,omitempty"`
 	// Bootstrap is the initial point set the first bubble build runs
 	// over. Creating a fresh tenant requires at least Bubbles points (the
@@ -166,6 +169,17 @@ func (c TenantConfig) withDefaults(d TenantConfig) TenantConfig {
 	return c
 }
 
+// checkCaps rejects a queue depth or retry count above its cap.
+func (c TenantConfig) checkCaps() error {
+	if c.QueueDepth > maxQueueDepth {
+		return fmt.Errorf("%w: queue_depth %d, cap %d", ErrAboveCap, c.QueueDepth, maxQueueDepth)
+	}
+	if c.RetryAttempts > maxRetryAttempts {
+		return fmt.Errorf("%w: retry_attempts %d, cap %d", ErrAboveCap, c.RetryAttempts, maxRetryAttempts)
+	}
+	return nil
+}
+
 // retryPolicy is the tenant's backoff policy for checkpoint writes; the
 // WAL supplies the classifier (a simulated crash is never retried).
 func (c TenantConfig) retryPolicy(seed int64) retry.Policy {
@@ -210,11 +224,16 @@ func discardLogger() *slog.Logger {
 }
 
 // New opens a server over Options.Root, resuming every tenant whose
-// config file is already present (a restart is a New over the same
-// root).
+// config file and WAL state are already present (a restart is a New over
+// the same root). A directory with a config file but no WAL state is a
+// create that never finished; it is skipped with a warning, and a later
+// CreateTenant of that name starts it afresh.
 func New(opts Options) (*Server, error) {
 	if opts.Root == "" {
 		return nil, errors.New("server: Options.Root is required")
+	}
+	if err := opts.Defaults.checkCaps(); err != nil {
+		return nil, fmt.Errorf("server: defaults: %w", err)
 	}
 	if err := os.MkdirAll(opts.Root, 0o755); err != nil {
 		return nil, err
@@ -231,9 +250,14 @@ func New(opts Options) (*Server, error) {
 		if !e.IsDir() || !tenantNameRE.MatchString(e.Name()) {
 			continue
 		}
-		cfg, err := loadTenantConfig(filepath.Join(opts.Root, e.Name()))
+		dir := filepath.Join(opts.Root, e.Name())
+		cfg, err := loadTenantConfig(dir)
 		if errors.Is(err, os.ErrNotExist) {
 			continue // not a tenant directory
+		}
+		if !wal.HasState(filepath.Join(dir, walSubdir)) {
+			s.logger.Warn("skipping unfinished tenant create", "tenant", e.Name())
+			continue
 		}
 		if err != nil {
 			return nil, fmt.Errorf("server: tenant %s: %w", e.Name(), err)
@@ -247,7 +271,8 @@ func New(opts Options) (*Server, error) {
 
 // CreateTenant creates (or, when its directory already holds durable
 // state, resumes) a tenant. Creating is idempotent for an identical
-// config; a conflicting config for a live tenant is ErrConfigMismatch.
+// config; a conflicting dim, or a conflicting bubbles count when cfg sets
+// one, for a live tenant is ErrConfigMismatch.
 func (s *Server) CreateTenant(name string, cfg TenantConfig) (*TenantStatus, error) {
 	if !tenantNameRE.MatchString(name) {
 		return nil, ErrBadTenantName
@@ -264,6 +289,9 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) (*TenantStatus, err
 		if want.Dim != 0 && want.Dim != have.Dim {
 			return nil, fmt.Errorf("%w: dim %d, tenant has %d", ErrConfigMismatch, want.Dim, have.Dim)
 		}
+		if cfg.Bubbles > 0 && cfg.Bubbles != have.Bubbles {
+			return nil, fmt.Errorf("%w: bubbles %d, tenant has %d", ErrConfigMismatch, cfg.Bubbles, have.Bubbles)
+		}
 		st := existing.status()
 		return &st, ErrTenantExists
 	}
@@ -274,6 +302,9 @@ func (s *Server) openTenant(name string, cfg TenantConfig) (*TenantStatus, error
 	cfg = cfg.withDefaults(s.opts.Defaults)
 	if cfg.Dim <= 0 {
 		return nil, ErrMissingDim
+	}
+	if err := cfg.checkCaps(); err != nil {
+		return nil, err
 	}
 	seed := cfg.Seed
 	if seed == 0 {

@@ -390,17 +390,27 @@ func TestTenantLifecycleAndReads(t *testing.T) {
 }
 
 // TestCreateTenantErrors pins the create reasons: a config without a
-// dim is the client's error (400 bad_request, with no server default
-// dim to fall back on), while a storage failure during creation is the
-// server's (500 create_failed).
+// dim (with no server default dim to fall back on), or with a
+// queue_depth or retry_attempts above its cap, is the client's error
+// (400 bad_request, nothing written), while a storage failure during
+// creation is the server's (500 create_failed). A value at its cap is
+// accepted, and server-wide defaults above a cap fail New.
 func TestCreateTenantErrors(t *testing.T) {
 	reg := failpoint.New(7)
-	e := newTestEnv(t, Options{Failpoints: reg})
-	for _, body := range []string{"", `{"bubbles":4}`} {
-		resp, reply := e.do(t, http.MethodPut, "/tenants/nodim", bytes.NewReader([]byte(body)))
+	root := t.TempDir()
+	e := newTestEnv(t, Options{Root: root, Failpoints: reg})
+	for _, tc := range []struct{ name, body string }{
+		{"nodim", ""},
+		{"nodim", `{"bubbles":4}`},
+		{"qhuge", `{"dim":2,"bubbles":1,"queue_depth":4611686018427387904,"bootstrap":[[0,0]]}`},
+		{"qover", fmt.Sprintf(`{"dim":2,"bubbles":1,"queue_depth":%d,"bootstrap":[[0,0]]}`, maxQueueDepth+1)},
+		{"rover", fmt.Sprintf(`{"dim":2,"bubbles":1,"retry_attempts":%d,"bootstrap":[[0,0]]}`, maxRetryAttempts+1)},
+	} {
+		resp, reply := e.do(t, http.MethodPut, "/tenants/"+tc.name, bytes.NewReader([]byte(tc.body)))
 		if resp.StatusCode != http.StatusBadRequest || reply["reason"] != ReasonBadRequest {
-			t.Fatalf("create with body %q: %d %v, want 400 %s", body, resp.StatusCode, reply, ReasonBadRequest)
+			t.Fatalf("create %s with body %q: %d %v, want 400 %s", tc.name, tc.body, resp.StatusCode, reply, ReasonBadRequest)
 		}
+		requireNoTenantDir(t, root, tc.name)
 	}
 	// One attempt only, so the injected checkpoint error is not retried
 	// away.
@@ -412,6 +422,14 @@ func TestCreateTenantErrors(t *testing.T) {
 	}
 	if n := reg.Hits(wal.FailCkptWrite); n != 1 {
 		t.Fatalf("checkpoint write evaluated %d times, want 1", n)
+	}
+	e.createTenant(t, "atcap", TenantConfig{
+		Dim: 2, Bubbles: 1, QueueDepth: maxQueueDepth, RetryAttempts: maxRetryAttempts, Bootstrap: [][]float64{{0, 0}},
+	})
+	for _, d := range []TenantConfig{{QueueDepth: maxQueueDepth + 1}, {RetryAttempts: maxRetryAttempts + 1}} {
+		if _, err := New(Options{Root: t.TempDir(), Defaults: d}); err == nil {
+			t.Fatalf("New accepted defaults %+v above a cap", d)
+		}
 	}
 }
 

@@ -183,26 +183,37 @@ func (t *tenant) dequeued(req *ingestReq) {
 // failpoints); the tenant-specific knobs come from cfg.
 func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*tenant, error) {
 	fp := opts.Failpoints
+	walDir := filepath.Join(dir, walSubdir)
+	resume := wal.HasState(walDir)
+	var db *dataset.DB
+	if !resume {
+		// A fresh tenant's bootstrap is checked before anything is
+		// written, so a rejected create leaves nothing on disk.
+		var err error
+		if db, err = bootstrapDB(cfg); err != nil {
+			return nil, err
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	onDisk, err := loadTenantConfig(dir)
 	switch {
-	case err == nil:
-		if onDisk.Dim != cfg.Dim {
-			return nil, fmt.Errorf("%w: dim %d, durable state has %d", ErrConfigMismatch, cfg.Dim, onDisk.Dim)
-		}
-		if onDisk.Bubbles != cfg.Bubbles {
-			return nil, fmt.Errorf("%w: bubbles %d, durable state has %d", ErrConfigMismatch, cfg.Bubbles, onDisk.Bubbles)
-		}
-	case errors.Is(err, os.ErrNotExist):
+	case !resume || errors.Is(err, os.ErrNotExist):
+		// No durable state behind the config (a fresh tenant, or a create
+		// that never finished), or no config in front of the state:
+		// (re)write it.
 		persist := cfg
 		persist.Bootstrap = nil // checkpointed, not config
 		if err := saveTenantConfig(dir, persist); err != nil {
 			return nil, err
 		}
-	default:
+	case err != nil:
 		return nil, err
+	case onDisk.Dim != cfg.Dim:
+		return nil, fmt.Errorf("%w: dim %d, durable state has %d", ErrConfigMismatch, cfg.Dim, onDisk.Dim)
+	case onDisk.Bubbles != cfg.Bubbles:
+		return nil, fmt.Errorf("%w: bubbles %d, durable state has %d", ErrConfigMismatch, cfg.Bubbles, onDisk.Bubbles)
 	}
 
 	tracer := opts.Tracer
@@ -234,7 +245,7 @@ func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*t
 		Failpoints:            fp,
 	}
 	walOpts := wal.Options{
-		Dir:             filepath.Join(dir, walSubdir),
+		Dir:             walDir,
 		CheckpointEvery: cfg.CheckpointEvery,
 		KeepCheckpoints: cfg.KeepCheckpoints,
 		Telemetry:       t.sink,
@@ -245,30 +256,37 @@ func newTenant(name, dir string, cfg TenantConfig, seed int64, opts Options) (*t
 		walOpts.CheckpointRetry = cfg.retryPolicy(seed)
 	}
 
-	if wal.HasState(walOpts.Dir) {
+	if resume {
 		st, err := wal.Resume(coreOpts, walOpts)
 		if err != nil {
 			return nil, err
 		}
 		t.db, t.sum, t.log, t.resumed = st.DB, st.Summarizer, st.Log, true
 	} else {
-		if len(cfg.Bootstrap) < cfg.Bubbles {
-			return nil, fmt.Errorf("%w: %d points for %d bubbles", ErrBadBootstrap, len(cfg.Bootstrap), cfg.Bubbles)
-		}
-		t.db = dataset.MustNew(cfg.Dim)
-		for i, p := range cfg.Bootstrap {
-			if _, err := t.db.Insert(p, 0); err != nil {
-				return nil, fmt.Errorf("%w: point %d: %v", ErrBadBootstrap, i, err)
-			}
-		}
-		s, l, err := wal.New(t.db, coreOpts, walOpts)
+		s, l, err := wal.New(db, coreOpts, walOpts)
 		if err != nil {
 			return nil, err
 		}
-		t.sum, t.log = s, l
+		t.db, t.sum, t.log = db, s, l
 	}
 	t.publish()
 	return t, nil
+}
+
+// bootstrapDB builds a fresh tenant's initial database from
+// cfg.Bootstrap, which must hold at least cfg.Bubbles points of dimension
+// cfg.Dim.
+func bootstrapDB(cfg TenantConfig) (*dataset.DB, error) {
+	if len(cfg.Bootstrap) < cfg.Bubbles {
+		return nil, fmt.Errorf("%w: %d points for %d bubbles", ErrBadBootstrap, len(cfg.Bootstrap), cfg.Bubbles)
+	}
+	db := dataset.MustNew(cfg.Dim)
+	for i, p := range cfg.Bootstrap {
+		if _, err := db.Insert(p, 0); err != nil {
+			return nil, fmt.Errorf("%w: point %d: %v", ErrBadBootstrap, i, err)
+		}
+	}
+	return db, nil
 }
 
 func loadTenantConfig(dir string) (TenantConfig, error) {

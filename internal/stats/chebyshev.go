@@ -38,14 +38,3 @@ func ChebyshevBounds(mean, std, p float64) (Interval, error) {
 	}
 	return Interval{Lo: mean - k*std, Hi: mean + k*std}, nil
 }
-
-// ChebyshevBoundsFromSample computes Chebyshev bounds from a sample. It is
-// the operation Definition 3 of the paper performs on the β values of all
-// data bubbles.
-func ChebyshevBoundsFromSample(xs []float64, p float64) (Interval, error) {
-	mean, std, err := MeanStd(xs)
-	if err != nil {
-		return Interval{}, err
-	}
-	return ChebyshevBounds(mean, std, p)
-}

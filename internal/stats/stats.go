@@ -8,7 +8,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned when a statistic of an empty sample is requested.
@@ -64,19 +63,8 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n)
 }
 
-// SampleVariance returns the Bessel-corrected variance.
-func (r *Running) SampleVariance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// SampleStdDev returns the Bessel-corrected standard deviation.
-func (r *Running) SampleStdDev() float64 { return math.Sqrt(r.SampleVariance()) }
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
@@ -118,47 +106,3 @@ func SampleStd(xs []float64) float64 {
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
-
-// MinMax returns the extrema of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }

@@ -82,9 +82,6 @@ func TestMeanErrors(t *testing.T) {
 	if _, _, err := MeanStd(nil); err != ErrEmpty {
 		t.Errorf("MeanStd(nil) err=%v", err)
 	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax(nil) err=%v", err)
-	}
 }
 
 func TestSampleStd(t *testing.T) {
@@ -95,43 +92,6 @@ func TestSampleStd(t *testing.T) {
 	want := 2.138089935299395 // known value
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("SampleStd=%v want %v", got, want)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Fatalf("MinMax=(%v,%v,%v)", min, max, err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if q, _ := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0=%v", q)
-	}
-	if q, _ := Quantile(xs, 1); q != 4 {
-		t.Errorf("q1=%v", q)
-	}
-	if q, _ := Median(xs); q != 2.5 {
-		t.Errorf("median=%v", q)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Errorf("expected range error")
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Errorf("expected ErrEmpty")
-	}
-	if q, _ := Quantile([]float64{42}, 0.7); q != 42 {
-		t.Errorf("singleton quantile=%v", q)
-	}
-	// Input must not be reordered.
-	orig := []float64{9, 1, 5}
-	if _, err := Median(orig); err != nil {
-		t.Fatal(err)
-	}
-	if orig[0] != 9 || orig[1] != 1 || orig[2] != 5 {
-		t.Errorf("Quantile mutated input: %v", orig)
 	}
 }
 
@@ -176,7 +136,11 @@ func TestChebyshevCoverageProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = rr.NormFloat64()*3 + 7
 		}
-		iv, err := ChebyshevBoundsFromSample(xs, 0.9)
+		mean, std, err := MeanStd(xs)
+		if err != nil {
+			return false
+		}
+		iv, err := ChebyshevBounds(mean, std, 0.9)
 		if err != nil {
 			return false
 		}
@@ -190,11 +154,5 @@ func TestChebyshevCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestChebyshevBoundsFromSampleEmpty(t *testing.T) {
-	if _, err := ChebyshevBoundsFromSample(nil, 0.9); err == nil {
-		t.Fatal("expected error for empty sample")
 	}
 }

@@ -67,9 +67,6 @@ type AuditOptions struct {
 	// (sufficient statistics drift as points are absorbed and released in
 	// different orders). ≤0 selects 1e-6.
 	RelTol float64
-	// SkipSeedMatrix disables the O(k²·d) recomputation of the seed
-	// distance matrix; the symmetry and diagonal checks still run.
-	SkipSeedMatrix bool
 	// MaxViolations bounds the report so a thoroughly corrupt set cannot
 	// produce an unbounded slice. ≤0 selects 64.
 	MaxViolations int
@@ -227,9 +224,6 @@ func (a *auditor) seedMatrix(set *bubble.Set) {
 			//lint:allow floatsafe Lemma 1 caching must be exactly symmetric; any bit difference is the defect being audited
 			if dij != dji {
 				a.add(CodeSeedMatrix, i, "asymmetric: (%d,%d)=%g vs (%d,%d)=%g", i, j, dij, j, i, dji)
-				continue
-			}
-			if a.opts.SkipSeedMatrix {
 				continue
 			}
 			si, sj := set.Bubble(i).Seed(), set.Bubble(j).Seed()

@@ -64,7 +64,6 @@ const (
 	// Serving layer (internal/server): per-tenant ingest accounting and
 	// the fault-tolerance machinery around it (DESIGN.md §15).
 	MetricServerIngested        = "server.batches_ingested"
-	MetricServerIngestRetries   = "server.ingest_retries"
 	MetricServerQueueRejected   = "server.queue_rejected"
 	MetricServerDegraded        = "server.tenant_degraded"
 	MetricServerSnapshotErrors  = "server.snapshot_errors"

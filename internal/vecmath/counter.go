@@ -110,14 +110,6 @@ func (t *Tally) Distance(p, q Point) float64 {
 	return math.Sqrt(SquaredDistance(p, q))
 }
 
-// SquaredDistance computes the squared distance, tallying one computation.
-//
-//lint:hotpath
-func (t *Tally) SquaredDistance(p, q Point) float64 {
-	t.Computed++
-	return SquaredDistance(p, q)
-}
-
 // Prune tallies one avoided distance computation.
 //
 //lint:hotpath

@@ -6,7 +6,6 @@
 package vecmath
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -14,10 +13,6 @@ import (
 // Point is a dense d-dimensional vector. The zero value is a 0-dimensional
 // point. Points are plain slices so callers can construct them with literals.
 type Point []float64
-
-// ErrDimensionMismatch is returned by operations that require operands of
-// equal dimensionality.
-var ErrDimensionMismatch = errors.New("vecmath: dimension mismatch")
 
 // Clone returns a deep copy of p.
 func (p Point) Clone() Point {
@@ -158,35 +153,6 @@ func SquaredDistance(p, q Point) float64 {
 //
 //lint:hotpath
 func Distance(p, q Point) float64 { return math.Sqrt(SquaredDistance(p, q)) }
-
-// ManhattanDistance returns the L1 distance between p and q. It is not used
-// by the core algorithms (the paper works in Euclidean space) but is exposed
-// for downstream users of the summaries.
-//
-//lint:hotpath
-func ManhattanDistance(p, q Point) float64 {
-	mustSameDim(p, q)
-	var s float64
-	for i := range p {
-		s += math.Abs(p[i] - q[i])
-	}
-	return s
-}
-
-// ChebyshevDistance returns the L∞ distance between p and q.
-//
-//lint:hotpath
-func ChebyshevDistance(p, q Point) float64 {
-	mustSameDim(p, q)
-	var s float64
-	for i := range p {
-		d := math.Abs(p[i] - q[i])
-		if d > s {
-			s = d
-		}
-	}
-	return s
-}
 
 // Mean returns the centroid of pts. It returns nil for an empty slice.
 func Mean(pts []Point) Point {

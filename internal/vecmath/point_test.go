@@ -91,12 +91,6 @@ func TestDistances(t *testing.T) {
 	if d := SquaredDistance(p, q); d != 25 {
 		t.Errorf("SquaredDistance=%v", d)
 	}
-	if d := ManhattanDistance(p, q); d != 7 {
-		t.Errorf("Manhattan=%v", d)
-	}
-	if d := ChebyshevDistance(p, q); d != 4 {
-		t.Errorf("Chebyshev=%v", d)
-	}
 }
 
 func TestDimensionMismatchPanics(t *testing.T) {

@@ -35,10 +35,6 @@ type Options struct {
 	// selects 2) so a corrupt newest checkpoint can fall back to the one
 	// before it.
 	KeepCheckpoints int
-	// NoSync skips the per-append fsync; appends then reach stable
-	// storage only at checkpoints and Close. Faster, but a crash can lose
-	// the batches since the last sync. Default false: every append syncs.
-	NoSync bool
 	// CheckpointRetry bounds in-place retries of a failed checkpoint
 	// file write (internal/retry seeded-jitter backoff). The zero value
 	// performs a single attempt — exactly the historical behaviour — and
@@ -314,18 +310,16 @@ func (l *Log) BeforeApply(ctx context.Context, ordinal uint64, batch dataset.Bat
 	if err := l.fail.Hit(FailAppendSync); err != nil {
 		return l.poison(err)
 	}
-	if !l.opts.NoSync {
-		fsp := sp.Start("wal.fsync")
-		fsp.SetInt(trace.AttrBytes, int64(len(frame)))
-		syncStart := time.Now()
-		err := l.f.Sync()
-		l.m.fsyncSeconds.Observe(time.Since(syncStart).Seconds())
-		fsp.End()
-		if err != nil {
-			return l.poison(fmt.Errorf("wal: syncing batch %d: %w", ordinal, err))
-		}
-		l.m.syncs.Inc()
+	fsp := sp.Start("wal.fsync")
+	fsp.SetInt(trace.AttrBytes, int64(len(frame)))
+	syncStart := time.Now()
+	err = l.f.Sync()
+	l.m.fsyncSeconds.Observe(time.Since(syncStart).Seconds())
+	fsp.End()
+	if err != nil {
+		return l.poison(fmt.Errorf("wal: syncing batch %d: %w", ordinal, err))
 	}
+	l.m.syncs.Inc()
 	l.segSize += int64(len(frame))
 	l.nextOrdinal++
 	l.m.appends.Inc()
@@ -684,9 +678,8 @@ func (l *Log) Close() error {
 		return err
 	}
 	l.closed = true
-	// Sync whenever the log is healthy: under NoSync this is the one
-	// place the documented "durable at Close" promise is kept (with
-	// per-append syncs it is a cheap no-op).
+	// Sync whenever the log is healthy. Every append already synced its
+	// record, so this is a cheap no-op kept as a backstop.
 	if l.poisoned == nil {
 		if serr := l.f.Sync(); err == nil && serr != nil {
 			err = serr
