@@ -46,22 +46,25 @@ microbench:
 
 # Fuzz smoke: ten seconds per target (Go allows one -fuzz pattern per
 # invocation, hence one line each). Covers the bubble codec, the
-# codec+auditor composition, the CSV reader, the telemetry auditor and
-# the Prometheus writer/parser pair (DESIGN.md §8), the seed distance
-# matrix oracle and the Figure 2 search's brute-force differential
-# (DESIGN.md §12), the WAL codecs (DESIGN.md §10),
-# and bubbled's JSON ingest and tenant-create surfaces (DESIGN.md §15).
+# codec+auditor composition, bubble membership under churn against a
+# model, the CSV reader, the telemetry auditor and the Prometheus
+# writer/parser pair (DESIGN.md §8), the seed distance matrix oracle and
+# the Figure 2 search's brute-force differential (DESIGN.md §12), the WAL
+# codecs and checkpoint recovery (DESIGN.md §10), and bubbled's JSON
+# ingest and tenant-create surfaces (DESIGN.md §15).
 FUZZTIME ?= 10s
 audit: vet race
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzSeedMatrix$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzClosestSeed$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoadAudit$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzMembers$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzAudit$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzPromRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzResumeCheckpoint$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzIngest$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzCreateTenant$$' -fuzztime=$(FUZZTIME)
 

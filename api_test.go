@@ -76,7 +76,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestBuildBubblesBaseline(t *testing.T) {
 	db := NewDB(2)
 	populate(t, db, 600, 4)
-	set, err := BuildBubbles(db, 20, BubbleOptions{UseTriangleInequality: true, TrackMembers: true})
+	set, err := BuildBubbles(db, 20, BubbleOptions{UseTriangleInequality: true})
 	if err != nil {
 		t.Fatal(err)
 	}

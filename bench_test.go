@@ -264,7 +264,7 @@ func BenchmarkClusterBubbles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := BuildBubbles(sc.DB(), 100, BubbleOptions{UseTriangleInequality: true, TrackMembers: true})
+	set, err := BuildBubbles(sc.DB(), 100, BubbleOptions{UseTriangleInequality: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -18,7 +18,6 @@ func ExampleBuildBubbles() {
 	}
 	set, _ := incbubbles.BuildBubbles(db, 20, incbubbles.BubbleOptions{
 		UseTriangleInequality: true,
-		TrackMembers:          true,
 	})
 	clus, _ := incbubbles.ClusterBubbles(set, incbubbles.ClusterOptions{MinPts: 10})
 	fmt.Println(clus.NumClusters())
@@ -85,7 +84,7 @@ func ExampleEstimateRangeCount() {
 	for i := 0; i < 1000; i++ {
 		db.Insert(rng.GaussianPoint(incbubbles.Point{10, 10}, 1), 0)
 	}
-	set, _ := incbubbles.BuildBubbles(db, 20, incbubbles.BubbleOptions{TrackMembers: true})
+	set, _ := incbubbles.BuildBubbles(db, 20, incbubbles.BubbleOptions{})
 	est, _ := incbubbles.EstimateRangeCount(set, incbubbles.QueryBox{
 		Lo: incbubbles.Point{0, 0},
 		Hi: incbubbles.Point{20, 20},

@@ -8,7 +8,7 @@ import (
 func TestSaveLoadBubblesThroughFacade(t *testing.T) {
 	db := NewDB(2)
 	populate(t, db, 400, 8)
-	set, err := BuildBubbles(db, 16, BubbleOptions{UseTriangleInequality: true, TrackMembers: true})
+	set, err := BuildBubbles(db, 16, BubbleOptions{UseTriangleInequality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSaveLoadBubblesThroughFacade(t *testing.T) {
 func TestSingleLinkBubbles(t *testing.T) {
 	db := NewDB(2)
 	populate(t, db, 600, 9)
-	set, err := BuildBubbles(db, 20, BubbleOptions{UseTriangleInequality: true, TrackMembers: true})
+	set, err := BuildBubbles(db, 20, BubbleOptions{UseTriangleInequality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestStreamWindowThroughFacade(t *testing.T) {
 func TestMacroClusterThroughFacade(t *testing.T) {
 	db := NewDB(2)
 	populate(t, db, 800, 16)
-	set, err := BuildBubbles(db, 24, BubbleOptions{UseTriangleInequality: true, TrackMembers: true})
+	set, err := BuildBubbles(db, 24, BubbleOptions{UseTriangleInequality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMacroClusterThroughFacade(t *testing.T) {
 func TestApproxQueriesThroughFacade(t *testing.T) {
 	db := NewDB(2)
 	populate(t, db, 1000, 18)
-	set, err := BuildBubbles(db, 30, BubbleOptions{UseTriangleInequality: true, TrackMembers: true})
+	set, err := BuildBubbles(db, 30, BubbleOptions{UseTriangleInequality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestApproxQueriesThroughFacade(t *testing.T) {
 func TestRenderersThroughFacade(t *testing.T) {
 	db := NewDB(2)
 	populate(t, db, 400, 20)
-	set, err := BuildBubbles(db, 16, BubbleOptions{UseTriangleInequality: true, TrackMembers: true})
+	set, err := BuildBubbles(db, 16, BubbleOptions{UseTriangleInequality: true})
 	if err != nil {
 		t.Fatal(err)
 	}

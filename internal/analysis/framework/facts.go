@@ -29,7 +29,7 @@ type Fact interface {
 }
 
 // ObjectFact is one (object key, fact) pair, the enumeration unit of
-// AllObjectFacts.
+// AllFactsOf.
 type ObjectFact struct {
 	Key  string
 	Fact Fact
@@ -164,16 +164,10 @@ func (prog *Program) allFacts(fact Fact) []ObjectFact {
 	return out
 }
 
-// ExportObjectFact attaches fact to obj for passes over later packages.
-// Objects without a stable key (locals, builtins) are silently skipped, as
-// no later pass could name them anyway.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	p.ExportKeyedFact(ObjectKey(obj), fact)
-}
-
-// ExportKeyedFact attaches fact to an explicit object key — the escape
-// hatch for objects ObjectKey cannot address, like struct fields (use
-// FieldKey).
+// ExportKeyedFact attaches fact to an object key (ObjectKey, or FieldKey
+// for struct fields) for passes over later packages. An empty key — an
+// object without a stable key, like a local or a builtin — is silently
+// skipped, as no later pass could name it anyway.
 func (p *Pass) ExportKeyedFact(key string, fact Fact) {
 	if key == "" || p.Prog == nil {
 		return
@@ -181,13 +175,8 @@ func (p *Pass) ExportKeyedFact(key string, fact Fact) {
 	p.Prog.exportFact(key, fact)
 }
 
-// ImportObjectFact copies the fact of fact's concrete type attached to obj
+// ImportKeyedFact copies the fact of fact's concrete type attached to key
 // into *fact, reporting whether one exists.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	return p.ImportKeyedFact(ObjectKey(obj), fact)
-}
-
-// ImportKeyedFact is ImportObjectFact by explicit key.
 func (p *Pass) ImportKeyedFact(key string, fact Fact) bool {
 	if key == "" || p.Prog == nil {
 		return false
@@ -195,18 +184,9 @@ func (p *Pass) ImportKeyedFact(key string, fact Fact) bool {
 	return p.Prog.importFact(key, fact)
 }
 
-// AllObjectFacts enumerates every stored fact whose concrete type matches
+// AllFactsOf enumerates every stored fact whose concrete type matches
 // fact's, across all packages analyzed so far plus any imported through
-// serialized fact files.
-func (p *Pass) AllObjectFacts(fact Fact) []ObjectFact {
-	if p.Prog == nil {
-		return nil
-	}
-	return p.Prog.allFacts(fact)
-}
-
-// AllFactsOf is allFacts exposed for Analyzer.Finish hooks, which hold a
-// Program rather than a Pass.
+// serialized fact files, for Analyzer.Finish hooks.
 func (prog *Program) AllFactsOf(fact Fact) []ObjectFact {
 	return prog.allFacts(fact)
 }
@@ -274,15 +254,4 @@ func (prog *Program) DecodeFacts(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// SortedFactKeys returns the keys carrying a fact of fact's concrete type;
-// a debugging and test helper.
-func (prog *Program) SortedFactKeys(fact Fact) []string {
-	ofs := prog.allFacts(fact)
-	keys := make([]string, len(ofs))
-	for i, of := range ofs {
-		keys[i] = of.Key
-	}
-	return keys
 }

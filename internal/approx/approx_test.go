@@ -20,7 +20,7 @@ func buildSet(t *testing.T, seed int64) (*bubble.Set, *dataset.DB) {
 	for i := 0; i < 1000; i++ {
 		db.Insert(rng.GaussianPoint(vecmath.Point{80, 80}, 4), 1)
 	}
-	set, err := bubble.Build(db, 50, bubble.Options{UseTriangleInequality: true, TrackMembers: true, RNG: stats.NewRNG(seed + 1)})
+	set, err := bubble.Build(db, 50, bubble.Options{UseTriangleInequality: true, RNG: stats.NewRNG(seed + 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAxisHistogram(t *testing.T) {
 	}
 	// The last float below hi divides out to index bins, not bins-1, for
 	// these binnings; a zero-extent bubble there must land in the last bin.
-	edge, err := bubble.NewSet(1, bubble.Options{TrackMembers: true})
+	edge, err := bubble.NewSet(1, bubble.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

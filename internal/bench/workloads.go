@@ -300,7 +300,6 @@ func opticsSetup(_ string, tracer *trace.Tracer) (func() error, int, error) {
 	}
 	set, err := bubble.Build(sc.DB(), opticsScale.bubbles, bubble.Options{
 		UseTriangleInequality: true,
-		TrackMembers:          true,
 		RNG:                   stats.NewRNG(seed + 1),
 		Workers:               1,
 	})

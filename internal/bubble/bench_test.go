@@ -87,7 +87,7 @@ func BenchmarkAssignPoint(b *testing.B) {
 // BenchmarkSaveLoad measures summary persistence round trips.
 func BenchmarkSaveLoad(b *testing.B) {
 	db := benchDB(b, 10000, 2)
-	set, err := Build(db, 100, Options{UseTriangleInequality: true, TrackMembers: true, RNG: stats.NewRNG(4)})
+	set, err := Build(db, 100, Options{UseTriangleInequality: true, RNG: stats.NewRNG(4)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,16 +8,16 @@ package bubble
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"incbubbles/internal/dataset"
 	"incbubbles/internal/vecmath"
 )
 
 // Bubble is one data bubble: a seed position used for assignment, the
-// sufficient statistics (n, LS, SS) of the points assigned to it, and —
-// when member tracking is enabled — the IDs of those points, which the
-// incremental split/merge operations need.
+// sufficient statistics (n, LS, SS) of the points assigned to it, and the
+// IDs of those points in ascending order, from which the incremental
+// split draws its new seeds.
 //
 // Definition 1 of the paper describes a bubble by (rep, n, extent, nnDist);
 // all of these derive from (n, LS, SS) as shown in [5], so only the
@@ -28,19 +28,15 @@ type Bubble struct {
 	n       int
 	ls      vecmath.Point
 	ss      float64
-	members map[dataset.PointID]struct{} // nil when tracking disabled
+	members []dataset.PointID // ascending
 }
 
-func newBubble(dim int, seed vecmath.Point, track bool) *Bubble {
-	b := &Bubble{
+func newBubble(dim int, seed vecmath.Point) *Bubble {
+	return &Bubble{
 		dim:  dim,
 		seed: seed.Clone(),
 		ls:   make(vecmath.Point, dim),
 	}
-	if track {
-		b.members = make(map[dataset.PointID]struct{})
-	}
-	return b
 }
 
 // Dim returns the dimensionality of the bubble.
@@ -113,38 +109,33 @@ func (b *Bubble) Compactness() float64 {
 	return c
 }
 
-// TracksMembers reports whether the bubble records member point IDs.
-func (b *Bubble) TracksMembers() bool { return b.members != nil }
-
-// MemberIDs returns the IDs of the compressed points in ascending order.
-// The deterministic order keeps split/merge operations — which sample new
-// seeds from this slice — reproducible for a fixed RNG seed. It returns
-// nil when member tracking is disabled.
+// MemberIDs returns a copy of the IDs of the compressed points in
+// ascending order. The deterministic order keeps split/merge operations —
+// which sample new seeds from this slice — reproducible for a fixed RNG
+// seed, and fixes the order Save writes.
 func (b *Bubble) MemberIDs() []dataset.PointID {
-	if b.members == nil {
-		return nil
-	}
-	out := make([]dataset.PointID, 0, len(b.members))
-	for id := range b.members {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(b.members)
 }
 
-// HasMember reports whether the bubble tracks the given point.
+// HasMember reports whether id is one of the compressed points.
 func (b *Bubble) HasMember(id dataset.PointID) bool {
-	_, ok := b.members[id]
+	_, ok := slices.BinarySearch(b.members, id)
 	return ok
 }
 
-// absorb incorporates point p with identity id into the statistics.
+// absorb incorporates point p with identity id into the statistics and
+// inserts id at its sorted position in the member list: an append when id
+// is above every member, the common case: a new point carries the largest
+// ID yet, and Build over a freshly filled database absorbs in ID order.
 func (b *Bubble) absorb(id dataset.PointID, p vecmath.Point) {
 	b.n++
 	b.ls.AddInPlace(p)
 	b.ss += p.Norm2()
-	if b.members != nil {
-		b.members[id] = struct{}{}
+	if k := len(b.members); k == 0 || b.members[k-1] < id {
+		b.members = append(b.members, id)
+	} else {
+		at, _ := slices.BinarySearch(b.members, id)
+		b.members = slices.Insert(b.members, at, id)
 	}
 }
 
@@ -153,12 +144,11 @@ func (b *Bubble) release(id dataset.PointID, p vecmath.Point) error {
 	if b.n == 0 {
 		return fmt.Errorf("bubble: release from empty bubble")
 	}
-	if b.members != nil {
-		if _, ok := b.members[id]; !ok {
-			return fmt.Errorf("bubble: point %d is not a member", id)
-		}
-		delete(b.members, id)
+	at, ok := slices.BinarySearch(b.members, id)
+	if !ok {
+		return fmt.Errorf("bubble: point %d is not a member", id)
 	}
+	b.members = slices.Delete(b.members, at, at+1)
 	b.n--
 	b.ls.SubInPlace(p)
 	b.ss -= p.Norm2()
@@ -179,9 +169,7 @@ func (b *Bubble) reset(seed vecmath.Point) {
 	b.n = 0
 	b.ls = make(vecmath.Point, b.dim)
 	b.ss = 0
-	if b.members != nil {
-		b.members = make(map[dataset.PointID]struct{})
-	}
+	b.members = nil
 }
 
 // String summarises the bubble for diagnostics.

@@ -12,7 +12,7 @@ import (
 
 func mkBubble(t *testing.T, pts []vecmath.Point) *Bubble {
 	t.Helper()
-	b := newBubble(len(pts[0]), pts[0], true)
+	b := newBubble(len(pts[0]), pts[0])
 	for i, p := range pts {
 		b.absorb(dataset.PointID(i), p)
 	}
@@ -73,7 +73,7 @@ func TestBubbleStatisticsProperty(t *testing.T) {
 		for i := range pts {
 			pts[i] = rng.GaussianPoint(make(vecmath.Point, d), 10)
 		}
-		b := newBubble(d, pts[0], false)
+		b := newBubble(d, pts[0])
 		for i, p := range pts {
 			b.absorb(dataset.PointID(i), p)
 		}
@@ -113,7 +113,7 @@ func TestNNDist(t *testing.T) {
 	if b.NNDist(0) != 0 {
 		t.Error("NNDist(0) != 0")
 	}
-	empty := newBubble(2, vecmath.Point{0, 0}, false)
+	empty := newBubble(2, vecmath.Point{0, 0})
 	if empty.NNDist(1) != 0 || empty.Extent() != 0 || empty.Compactness() != 0 {
 		t.Error("empty bubble stats nonzero")
 	}
@@ -126,7 +126,7 @@ func TestAbsorbReleaseRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := stats.NewRNG(seed)
 		base := make([]vecmath.Point, 6)
-		b := newBubble(3, vecmath.Point{0, 0, 0}, true)
+		b := newBubble(3, vecmath.Point{0, 0, 0})
 		for i := range base {
 			base[i] = rng.GaussianPoint(vecmath.Point{0, 0, 0}, 100)
 			b.absorb(dataset.PointID(i), base[i])
@@ -150,7 +150,7 @@ func TestAbsorbReleaseRoundTrip(t *testing.T) {
 }
 
 func TestReleaseErrors(t *testing.T) {
-	b := newBubble(1, vecmath.Point{0}, true)
+	b := newBubble(1, vecmath.Point{0})
 	if err := b.release(1, vecmath.Point{0}); err == nil {
 		t.Error("release from empty bubble accepted")
 	}
@@ -167,23 +167,19 @@ func TestReleaseErrors(t *testing.T) {
 }
 
 func TestResetAndMembers(t *testing.T) {
-	b := newBubble(2, vecmath.Point{1, 1}, true)
+	b := newBubble(2, vecmath.Point{1, 1})
 	b.absorb(7, vecmath.Point{3, 3})
 	if !b.HasMember(7) || len(b.MemberIDs()) != 1 {
-		t.Fatal("member tracking broken")
+		t.Fatal("member list broken")
 	}
 	b.reset(vecmath.Point{9, 9})
 	if b.N() != 0 || b.HasMember(7) || !b.Seed().Equal(vecmath.Point{9, 9}) {
 		t.Fatalf("reset incomplete: %v", b)
 	}
-	untracked := newBubble(2, vecmath.Point{0, 0}, false)
-	if untracked.TracksMembers() || untracked.MemberIDs() != nil {
-		t.Error("untracked bubble reports members")
-	}
 }
 
 func TestBubbleString(t *testing.T) {
-	b := newBubble(2, vecmath.Point{0, 0}, false)
+	b := newBubble(2, vecmath.Point{0, 0})
 	if b.String() == "" {
 		t.Error("empty String")
 	}

@@ -12,7 +12,9 @@ import (
 )
 
 // snapshot is the serialized form of a Set. Member IDs are stored per
-// bubble (when tracked); the ownership map is reconstructed from them.
+// bubble in ascending order; the ownership map is reconstructed from them.
+// Members is always written true and ignored on load: a populated bubble
+// without its IDs is a decode error.
 type snapshot struct {
 	Version  int              `json:"version"`
 	Dim      int              `json:"dim"`
@@ -32,27 +34,26 @@ type bubbleSnapshot struct {
 const codecVersion = 1
 
 // Save serializes the set as JSON so that a maintained summary survives a
-// process restart: the sufficient statistics, seeds and (when tracked)
-// member IDs round-trip exactly; the seed distance matrix is recomputed on
-// load. Distance counters are intentionally not persisted.
+// process restart: the sufficient statistics, seeds and ascending member
+// IDs round-trip exactly; the seed distance matrix is recomputed on load.
+// Distance counters are intentionally not persisted.
 func (s *Set) Save(w io.Writer) error {
 	snap := snapshot{
 		Version:  codecVersion,
 		Dim:      s.dim,
 		Triangle: s.opts.UseTriangleInequality,
-		Members:  s.opts.TrackMembers,
+		Members:  true,
 	}
 	for _, b := range s.bubbles {
 		bs := bubbleSnapshot{
-			Seed: append([]float64(nil), b.seed...),
-			N:    b.n,
-			LS:   append([]float64(nil), b.ls...),
-			SS:   b.ss,
+			Seed:    append([]float64(nil), b.seed...),
+			N:       b.n,
+			LS:      append([]float64(nil), b.ls...),
+			SS:      b.ss,
+			Members: make([]uint64, len(b.members)),
 		}
-		if s.opts.TrackMembers {
-			for _, id := range b.MemberIDs() {
-				bs.Members = append(bs.Members, uint64(id))
-			}
+		for k, id := range b.members {
+			bs.Members[k] = uint64(id)
 		}
 		snap.Bubbles = append(snap.Bubbles, bs)
 	}
@@ -65,11 +66,10 @@ func (s *Set) Save(w io.Writer) error {
 }
 
 // Load reconstructs a Set saved with Save. Counter is the only Options
-// field consulted: structure flags come from the snapshot itself, and the
-// seed distance matrix is recomputed from the restored seeds. A snapshot
-// saved without member IDs restores as a statistics-only set: populated
-// bubbles have no reconstructible ownership, which the set records
-// (OwnershipComplete reports false) so its invariants stay checkable.
+// field consulted: the pruning flag comes from the snapshot itself, and
+// the seed distance matrix is recomputed from the restored seeds. Every
+// bubble must list exactly n strictly ascending member IDs, and no ID may
+// belong to two bubbles; a snapshot without member IDs is rejected.
 func Load(r io.Reader, opts Options) (*Set, error) {
 	var snap snapshot
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&snap); err != nil {
@@ -83,7 +83,6 @@ func Load(r io.Reader, opts Options) (*Set, error) {
 	}
 	s, err := NewSet(snap.Dim, Options{
 		UseTriangleInequality: snap.Triangle,
-		TrackMembers:          snap.Members,
 		Counter:               opts.Counter,
 	})
 	if err != nil {
@@ -104,22 +103,20 @@ func Load(r io.Reader, opts Options) (*Set, error) {
 		b.n = bs.N
 		copy(b.ls, bs.LS)
 		b.ss = bs.SS
-		if snap.Members {
-			if len(bs.Members) != bs.N {
-				return nil, fmt.Errorf("bubble: snapshot bubble %d: %d members for n=%d", i, len(bs.Members), bs.N)
+		if len(bs.Members) != bs.N {
+			return nil, fmt.Errorf("bubble: snapshot bubble %d: %d members for n=%d", i, len(bs.Members), bs.N)
+		}
+		b.members = make([]dataset.PointID, len(bs.Members))
+		for k, raw := range bs.Members {
+			id := dataset.PointID(raw)
+			if k > 0 && id <= b.members[k-1] {
+				return nil, fmt.Errorf("bubble: snapshot bubble %d: member IDs not strictly ascending", i)
 			}
-			for _, raw := range bs.Members {
-				id := dataset.PointID(raw)
-				if _, dup := s.owner[id]; dup {
-					return nil, fmt.Errorf("bubble: snapshot point %d owned twice", id)
-				}
-				b.members[id] = struct{}{}
-				s.owner[id] = idx
+			if _, dup := s.owner[id]; dup {
+				return nil, fmt.Errorf("bubble: snapshot point %d owned twice", id)
 			}
-		} else if bs.N > 0 {
-			// No member IDs to rebuild ownership from: the restored set is
-			// statistics-only (CheckInvariants relaxes its count check).
-			s.statsOnly = true
+			b.members[k] = id
+			s.owner[id] = idx
 		}
 	}
 	return s, nil

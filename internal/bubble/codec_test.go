@@ -11,7 +11,7 @@ import (
 	"incbubbles/internal/vecmath"
 )
 
-func buildSampleSet(t *testing.T, track bool) (*Set, *dataset.DB) {
+func buildSampleSet(t *testing.T) (*Set, *dataset.DB) {
 	t.Helper()
 	rng := stats.NewRNG(31)
 	db := dataset.MustNew(3)
@@ -23,7 +23,6 @@ func buildSampleSet(t *testing.T, track bool) (*Set, *dataset.DB) {
 	}
 	set, err := Build(db, 15, Options{
 		UseTriangleInequality: true,
-		TrackMembers:          track,
 		RNG:                   stats.NewRNG(32),
 	})
 	if err != nil {
@@ -33,7 +32,7 @@ func buildSampleSet(t *testing.T, track bool) (*Set, *dataset.DB) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	set, _ := buildSampleSet(t, true)
+	set, _ := buildSampleSet(t)
 	var buf bytes.Buffer
 	if err := set.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -77,65 +76,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadWithoutMembers(t *testing.T) {
-	set, _ := buildSampleSet(t, false)
-	var buf bytes.Buffer
-	if err := set.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.OwnedPoints() != 0 {
-		t.Fatalf("no-members snapshot restored ownership: %d", back.OwnedPoints())
-	}
-	if back.Bubble(0).TracksMembers() {
-		t.Fatal("tracking enabled on restore")
-	}
-	total := 0
-	for _, b := range back.Bubbles() {
-		total += b.N()
-	}
-	if total != 600 {
-		t.Fatalf("restored population=%d", total)
-	}
-	if back.OwnershipComplete() {
-		t.Fatal("stats-only restore claims complete ownership")
-	}
-	if err := back.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The restored set keeps accepting assignments, and the invariants
-	// hold with the partially rebuilt ownership map.
-	if _, err := assignClosest(back, 1_000_000, vecmath.Point{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLoadStatsOnlySnapshot pins the fuzz-found case: encoding/json
 // matches field names case-insensitively, so "BuBBles" decodes into the
-// bubbles list while the absent "members" flag leaves ownership empty.
-// Such a snapshot must load as a statistics-only set that still passes
-// CheckInvariants (regression input: testdata/fuzz/FuzzLoad/8942643b...).
+// bubbles list, whose populated bubble lists no member IDs. A snapshot
+// without member IDs cannot be maintained, so Load must reject it
+// (regression input: testdata/fuzz/FuzzLoad/8942643b...).
 func TestLoadStatsOnlySnapshot(t *testing.T) {
 	const snap = `{"version":1,"dim":2,"BuBBles":[{"seed":[0,0],"n":1,"ls":[0,0]}]}`
-	s, err := Load(strings.NewReader(snap), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.OwnershipComplete() {
-		t.Fatal("n>0 with no member IDs must be stats-only")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
+	if _, err := Load(strings.NewReader(snap), Options{}); err == nil {
+		t.Fatal("populated bubble without member IDs accepted")
 	}
 }
 
@@ -150,6 +99,9 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 		`{"version":1,"dim":2,"bubbles":[{"seed":[1,2],"ls":[0,0],"n":-1}]}`,
 		`{"version":1,"dim":2,"members":true,"bubbles":[{"seed":[1,2],"ls":[0,0],"n":2,"members":[5]}]}`,
 		`{"version":1,"dim":2,"members":true,"bubbles":[{"seed":[1,2],"ls":[1,1],"n":1,"members":[5]},{"seed":[3,4],"ls":[1,1],"n":1,"members":[5]}]}`,
+		`{"version":1,"dim":1,"members":true,"bubbles":[{"seed":[1],"ls":[2],"n":2,"members":[7,5]}]}`,
+		`{"version":1,"dim":1,"members":true,"bubbles":[{"seed":[1],"ls":[2],"n":2,"members":[5,5]}]}`,
+		`{"version":1,"dim":1,"bubbles":[{"seed":[1],"ls":[2],"n":2}]}`,
 	}
 	for i, s := range cases {
 		if _, err := Load(strings.NewReader(s), Options{}); err == nil {
@@ -159,7 +111,7 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 }
 
 func TestRemoveBubble(t *testing.T) {
-	set, db := buildSampleSet(t, true)
+	set, db := buildSampleSet(t)
 	n := set.Len()
 	// Populated bubble refuses removal.
 	populated := -1
@@ -222,7 +174,7 @@ func TestRemoveBubble(t *testing.T) {
 }
 
 func TestRemoveLastBubble(t *testing.T) {
-	set, _ := buildSampleSet(t, true)
+	set, _ := buildSampleSet(t)
 	last := set.Len() - 1
 	ids, err := set.TakeMembers(last)
 	if err != nil {
@@ -238,9 +190,8 @@ func TestRemoveLastBubble(t *testing.T) {
 }
 
 func TestRemoveBubbleWithoutMemberTracking(t *testing.T) {
-	set, _ := buildSampleSet(t, false)
-	// Find an empty bubble or drain is impossible without members; build a
-	// set with one extra empty bubble instead.
+	set, _ := buildSampleSet(t)
+	// A bubble that never held a point is removed without a drain.
 	idx, err := set.AddBubble(vecmath.Point{999, 999, 999})
 	if err != nil {
 		t.Fatal(err)

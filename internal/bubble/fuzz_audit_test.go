@@ -18,14 +18,14 @@ import (
 // compose on damaged states.
 func FuzzLoadAudit(f *testing.F) {
 	var buf bytes.Buffer
-	set, _ := bubble.NewSet(2, bubble.Options{UseTriangleInequality: true, TrackMembers: true})
+	set, _ := bubble.NewSet(2, bubble.Options{UseTriangleInequality: true})
 	set.AddBubble([]float64{0, 0})
 	set.AddBubble([]float64{5, 5})
 	set.AssignTo(0, 1, []float64{0.5, 0})
 	set.AssignTo(1, 2, []float64{5, 5.5})
 	set.Save(&buf)
 	f.Add(buf.Bytes())
-	f.Add([]byte(`{"version":1,"dim":2,"bubbles":[{"seed":[0,0],"n":4,"ls":[8,8],"ss":1}]}`))
+	f.Add([]byte(`{"version":1,"dim":2,"bubbles":[{"seed":[0,0],"n":4,"ls":[8,8],"ss":1,"members":[1,2,3,4]}]}`))
 	f.Add([]byte(`{"version":1,"dim":2,"bubbles":[{"seed":[1,1],"n":0,"ls":[0,1],"ss":-3}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := bubble.Load(bytes.NewReader(data), bubble.Options{})

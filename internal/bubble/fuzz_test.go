@@ -11,7 +11,7 @@ import (
 func FuzzLoad(f *testing.F) {
 	// Valid snapshot seed.
 	var buf bytes.Buffer
-	set, _ := NewSet(2, Options{UseTriangleInequality: true, TrackMembers: true})
+	set, _ := NewSet(2, Options{UseTriangleInequality: true})
 	set.AddBubble([]float64{0, 0})
 	set.AddBubble([]float64{5, 5})
 	set.AssignTo(0, 1, []float64{0.5, 0})

@@ -18,7 +18,6 @@ func raceTestSet(t *testing.T, points, bubbles int) (*Set, *dataset.DB) {
 	}
 	set, err := Build(db, bubbles, Options{
 		UseTriangleInequality: true,
-		TrackMembers:          true,
 		RNG:                   stats.NewRNG(10),
 	})
 	if err != nil {

@@ -75,7 +75,6 @@ func TestBuildWorkerParity(t *testing.T) {
 		ctr := &vecmath.Counter{}
 		s, err := Build(db, 24, Options{
 			UseTriangleInequality: true,
-			TrackMembers:          true,
 			Counter:               ctr,
 			RNG:                   stats.NewRNG(5),
 			Workers:               workers,

@@ -17,10 +17,6 @@ type Options struct {
 	// every assignment computes the distance to every seed — the baseline
 	// the paper measures speedups against.
 	UseTriangleInequality bool
-	// TrackMembers records which point IDs each bubble compresses. The
-	// incremental scheme requires it (splits select new seeds from a
-	// bubble's current points); the complete-rebuild baseline does not.
-	TrackMembers bool
 	// Counter receives all distance computations and prunes. Optional; a
 	// private counter is used when nil.
 	Counter *vecmath.Counter
@@ -40,9 +36,10 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// Set is a collection of data bubbles over one database: the bubbles, the
-// point→bubble ownership map, and the seed distance matrix that powers
-// triangle-inequality pruning (nil when pruning is disabled).
+// Set is a collection of data bubbles over one database: the bubbles with
+// their member lists, the point→bubble ownership map, and the seed
+// distance matrix that powers triangle-inequality pruning (nil when
+// pruning is disabled).
 type Set struct {
 	dim      int
 	opts     Options
@@ -50,11 +47,6 @@ type Set struct {
 	owner    map[dataset.PointID]int
 	seedDist *seedMatrix
 	counter  *vecmath.Counter
-	// statsOnly marks a set restored from a snapshot that carried no
-	// member IDs: bubble counts are trusted but the ownership map covers
-	// only points assigned after the restore, so it is a subset of — not
-	// equal to — the compressed population.
-	statsOnly bool
 }
 
 // Common errors.
@@ -111,7 +103,7 @@ func (s *Set) AddBubble(p vecmath.Point) (int, error) {
 	if p.Dim() != s.dim {
 		return 0, fmt.Errorf("bubble: seed dimensionality %d want %d", p.Dim(), s.dim)
 	}
-	b := newBubble(s.dim, p, s.opts.TrackMembers)
+	b := newBubble(s.dim, p)
 	idx := len(s.bubbles)
 	s.bubbles = append(s.bubbles, b)
 	if s.seedDist != nil {
@@ -206,19 +198,17 @@ func (s *Set) Release(id dataset.PointID, p vecmath.Point) (int, error) {
 }
 
 // TakeMembers empties bubble i — zeroing its statistics and removing the
-// ownership entries of its points — and returns the IDs it held. The seed
-// is left in place (callers re-seed via ResetBubble when repositioning).
-// It is the primitive under the merge and split operations of the
-// incremental scheme and requires member tracking.
+// ownership entries of its points — and returns the IDs it held, in
+// ascending order. The slice is the bubble's own, handed over: the
+// emptied bubble starts a new one. The seed is left in place (callers
+// re-seed via ResetBubble when repositioning). It is the primitive under
+// the merge and split operations of the incremental scheme.
 func (s *Set) TakeMembers(i int) ([]dataset.PointID, error) {
 	if i < 0 || i >= len(s.bubbles) {
 		return nil, ErrBadIndex
 	}
-	if !s.opts.TrackMembers {
-		return nil, errors.New("bubble: TakeMembers requires member tracking")
-	}
 	b := s.bubbles[i]
-	ids := b.MemberIDs()
+	ids := b.members
 	for _, id := range ids {
 		delete(s.owner, id)
 	}
@@ -244,17 +234,8 @@ func (s *Set) RemoveBubble(i int) error {
 	if i != last {
 		moved := s.bubbles[last]
 		s.bubbles[i] = moved
-		// Re-index ownership of the moved bubble's points.
-		if s.opts.TrackMembers {
-			for id := range moved.members {
-				s.owner[id] = i
-			}
-		} else {
-			for id, idx := range s.owner {
-				if idx == last {
-					s.owner[id] = i
-				}
-			}
+		for _, id := range moved.members {
+			s.owner[id] = i
 		}
 	}
 	s.bubbles = s.bubbles[:last]
@@ -288,19 +269,10 @@ func (s *Set) TotalCompactness() float64 {
 	return c
 }
 
-// OwnershipComplete reports whether the ownership map covers every
-// compressed point. It is false only for sets restored from a snapshot
-// saved without member IDs (see Save): such a set answers statistical
-// queries and accepts new assignments, but cannot locate pre-snapshot
-// points for deletion.
-func (s *Set) OwnershipComplete() bool { return !s.statsOnly }
-
 // CheckInvariants validates internal consistency (tests and debugging):
-// ownership entries point at in-range bubbles, member sets agree with the
-// ownership map, and per-bubble counts agree with membership sizes. For a
-// stats-only restore (OwnershipComplete false) the ownership map is a
-// subset of the population, so counts may fall short of n but never
-// exceed it.
+// ownership entries point at in-range bubbles, every bubble's member list
+// is strictly ascending and agrees with the ownership map, and per-bubble
+// counts agree with membership sizes.
 func (s *Set) CheckInvariants() error {
 	counts := make([]int, len(s.bubbles))
 	for id, i := range s.owner {
@@ -308,16 +280,21 @@ func (s *Set) CheckInvariants() error {
 			return fmt.Errorf("owner of %d out of range: %d", id, i)
 		}
 		counts[i]++
-		if s.opts.TrackMembers && !s.bubbles[i].HasMember(id) {
-			return fmt.Errorf("owner map says bubble %d holds %d but member set disagrees", i, id)
+		if !s.bubbles[i].HasMember(id) {
+			return fmt.Errorf("owner map says bubble %d holds %d but its member list disagrees", i, id)
 		}
 	}
 	for i, b := range s.bubbles {
-		if b.n != counts[i] && !(s.statsOnly && counts[i] < b.n) {
+		if b.n != counts[i] {
 			return fmt.Errorf("bubble %d: n=%d but %d ownership entries", i, b.n, counts[i])
 		}
-		if s.opts.TrackMembers && len(b.members) != b.n {
+		if len(b.members) != b.n {
 			return fmt.Errorf("bubble %d: n=%d but %d members", i, b.n, len(b.members))
+		}
+		for k := 1; k < len(b.members); k++ {
+			if b.members[k-1] >= b.members[k] {
+				return fmt.Errorf("bubble %d: member list not strictly ascending at %d", i, k)
+			}
 		}
 	}
 	return nil

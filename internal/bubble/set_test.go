@@ -15,7 +15,6 @@ func newTestSet(t *testing.T, seeds []vecmath.Point, ti bool) *Set {
 	t.Helper()
 	s, err := NewSet(len(seeds[0]), Options{
 		UseTriangleInequality: ti,
-		TrackMembers:          true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +275,7 @@ func TestBuild(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		db.Insert(rng.GaussianPoint(vecmath.Point{50, 50}, 5), 1)
 	}
-	s, err := Build(db, 20, Options{UseTriangleInequality: true, TrackMembers: true, RNG: stats.NewRNG(3)})
+	s, err := Build(db, 20, Options{UseTriangleInequality: true, RNG: stats.NewRNG(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

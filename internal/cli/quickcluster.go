@@ -117,7 +117,6 @@ func RunQuickcluster(ctx context.Context, in io.Reader, opts QuickclusterOptions
 		}
 		set, err = bubble.BuildContext(ctx, db, numBubbles, bubble.Options{
 			UseTriangleInequality: true,
-			TrackMembers:          true,
 			RNG:                   stats.NewRNG(opts.Seed),
 			Workers:               opts.Workers,
 			Counter:               &counter,

@@ -326,7 +326,6 @@ func New(db *dataset.DB, opts Options) (*Summarizer, error) {
 	rng := stats.NewRNG(seed)
 	set, err := bubble.Build(db, opts.NumBubbles, bubble.Options{
 		UseTriangleInequality: opts.UseTriangleInequality,
-		TrackMembers:          true,
 		Counter:               opts.Counter,
 		RNG:                   rng,
 		Tracer:                opts.Tracer,
@@ -339,8 +338,8 @@ func New(db *dataset.DB, opts Options) (*Summarizer, error) {
 
 // Load reconstructs a Summarizer around a bubble snapshot previously
 // written with Set().Save — the restore half of the durability layer's
-// checkpoint. The snapshot must have been saved with member tracking (the
-// summarizer's own sets always are); batches and totalRebuilt restore the
+// checkpoint. The snapshot carries every bubble's member IDs (bubble.Load
+// rejects one that does not); batches and totalRebuilt restore the
 // progress counters the snapshot does not carry. Under Options.Durability
 // the per-batch reseed makes the restored summarizer's future batches
 // bit-identical to the original run's, provided opts carries the same
@@ -359,9 +358,6 @@ func Load(db *dataset.DB, snapshot io.Reader, opts Options, batches, totalRebuil
 	}
 	if set.Dim() != db.Dim() {
 		return nil, fmt.Errorf("core: snapshot dimensionality %d != database %d", set.Dim(), db.Dim())
-	}
-	if !set.OwnershipComplete() {
-		return nil, errors.New("core: snapshot has no member ownership; cannot maintain it incrementally")
 	}
 	s := finishConstruct(db, set, cfg, seed, stats.NewRNG(seed), opts)
 	s.batches = batches

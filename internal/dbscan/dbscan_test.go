@@ -404,7 +404,8 @@ func TestDirtyMergePropagation(t *testing.T) {
 }
 
 func TestIncrementalHighDimUsesLinearIndex(t *testing.T) {
-	inc, err := NewIncremental(10, Params{Eps: 5, MinPts: 3}, nil)
+	params := Params{Eps: 5, MinPts: 3}
+	inc, err := NewIncremental(10, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestIncrementalHighDimUsesLinearIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	static, err := Static(db, inc.Params(), nil)
+	static, err := Static(db, params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

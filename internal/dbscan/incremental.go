@@ -61,12 +61,6 @@ func NewIncremental(dim int, params Params, counter *vecmath.Counter) (*Incremen
 	}, nil
 }
 
-// Len returns the number of maintained points.
-func (inc *Incremental) Len() int { return len(inc.pts) }
-
-// Params returns the density parameters.
-func (inc *Incremental) Params() Params { return inc.params }
-
 func (inc *Incremental) dist2(p, q vecmath.Point) float64 {
 	return inc.counter.SquaredDistance(p, q)
 }
@@ -441,38 +435,4 @@ func (inc *Incremental) Labels() map[dataset.PointID]int {
 		out[id] = best
 	}
 	return out
-}
-
-// CheckInvariants validates the maintained structure against a from-
-// scratch recomputation of core-ness (tests and debugging). Pending split
-// checks are resolved first.
-func (inc *Incremental) CheckInvariants() error {
-	inc.Flush()
-	for id, p := range inc.pts {
-		want := len(inc.rangeIDs(p))
-		if got := inc.nbrCount[id]; got != want {
-			return fmt.Errorf("dbscan: point %d neighbour count %d want %d", id, got, want)
-		}
-		_, labelled := inc.coreLbl[id]
-		if inc.isCore(id) != labelled {
-			return fmt.Errorf("dbscan: point %d core=%v labelled=%v", id, inc.isCore(id), labelled)
-		}
-	}
-	for lbl, mem := range inc.members {
-		for id := range mem {
-			if inc.coreLbl[id] != lbl {
-				return fmt.Errorf("dbscan: member map stale for %d", id)
-			}
-		}
-	}
-	// Every adjacent pair of cores shares a label (components are
-	// label-pure).
-	for id := range inc.coreLbl {
-		for _, q := range inc.rangeIDs(inc.pts[id]) {
-			if _, ok := inc.coreLbl[q]; ok && inc.coreLbl[q] != inc.coreLbl[id] {
-				return fmt.Errorf("dbscan: adjacent cores %d,%d in different clusters", id, q)
-			}
-		}
-	}
-	return nil
 }

@@ -1,11 +1,12 @@
-// Package dbscan implements DBSCAN (Ester et al. 1996) and
-// IncrementalDBSCAN (Ester et al. 1998) — the paper's §2 representative of
-// the first strategy for incremental clustering: a specialized algorithm
-// that restructures clusters directly on every update, against which the
-// summarization-based second strategy is positioned. Both share the
-// density model: a point is core when its ε-neighbourhood holds at least
-// MinPts points (itself included); clusters are the connected components
-// of core points within ε, with border points attached and the rest noise.
+// Package dbscan implements IncrementalDBSCAN (Ester et al. 1998) — the
+// paper's §2 representative of the first strategy for incremental
+// clustering: a specialized algorithm that restructures clusters directly
+// on every update, against which the summarization-based second strategy
+// is positioned. It keeps DBSCAN's (Ester et al. 1996) density model: a
+// point is core when its ε-neighbourhood holds at least MinPts points
+// (itself included); clusters are the connected components of core points
+// within ε, with border points attached and the rest noise. Classical
+// DBSCAN, the reference the tests check it against, lives with the tests.
 package dbscan
 
 import (

@@ -116,7 +116,7 @@ func twoClusterDB(t *testing.T, seed int64) *dataset.DB {
 func TestClusteringFScoreEndToEnd(t *testing.T) {
 	db := twoClusterDB(t, 20)
 	set, err := bubble.Build(db, 30, bubble.Options{
-		UseTriangleInequality: true, TrackMembers: true, RNG: stats.NewRNG(21),
+		UseTriangleInequality: true, RNG: stats.NewRNG(21),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,6 @@ func SummaryCompare(cfg Config) ([]CompareRow, error) {
 		start := time.Now()
 		set, err := bubble.Build(db, cfg.Bubbles, bubble.Options{
 			UseTriangleInequality: true,
-			TrackMembers:          true,
 			RNG:                   stats.NewRNG(cfg.Seed + int64(rep)*31),
 		})
 		if err != nil {

@@ -102,7 +102,6 @@ func (c Config) table1Rep(spec DatasetSpec, rep int) (incF, incC, comF, comC flo
 		// Complete rebuild baseline on the same database state.
 		rebuilt, err := bubble.Build(sc.DB(), c.Bubbles, bubble.Options{
 			UseTriangleInequality: true,
-			TrackMembers:          true,
 			RNG:                   stats.NewRNG(seed + int64(b) + 31),
 		})
 		if err != nil {

@@ -71,18 +71,6 @@ func (n *Node) Leaves() []*Node {
 	return out
 }
 
-// Size returns the number of nodes in the subtree.
-func (n *Node) Size() int {
-	if n == nil {
-		return 0
-	}
-	s := 1
-	for _, c := range n.Children {
-		s += c.Size()
-	}
-	return s
-}
-
 type extractor struct {
 	entries []optics.Entry
 	params  Params

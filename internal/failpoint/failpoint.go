@@ -20,7 +20,6 @@ package failpoint
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"incbubbles/internal/stats"
@@ -149,16 +148,6 @@ func (r *Registry) armMode(point string, hit int, mode Mode, err error) {
 	r.arms[point] = &arm{mode: mode, countdown: hit, err: err}
 }
 
-// Disarm clears any armed fault at point.
-func (r *Registry) Disarm(point string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.arms, point)
-}
-
 // Hit evaluates a non-write failpoint: it counts the evaluation and
 // returns the armed error if the point fires now, nil otherwise.
 func (r *Registry) Hit(point string) error {
@@ -197,8 +186,7 @@ func (r *Registry) eval(point string, n int) (int, error) {
 	return 0, a.err
 }
 
-// Hits returns how many times point has been evaluated since construction
-// (or the last Reset).
+// Hits returns how many times point has been evaluated since construction.
 func (r *Registry) Hits(point string) int {
 	if r == nil {
 		return 0
@@ -206,34 +194,4 @@ func (r *Registry) Hits(point string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.hits[point]
-}
-
-// Points returns the sorted names of every failpoint evaluated so far —
-// the coverage record a crash-matrix test checks against the declared
-// failpoint lists.
-func (r *Registry) Points() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.hits))
-	for p := range r.hits {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset clears all arm state and hit counts. The torn-write RNG stream is
-// deliberately not rewound: reproducibility comes from constructing a
-// fresh registry with the same seed.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.arms = make(map[string]*arm)
-	r.hits = make(map[string]int)
 }

@@ -62,9 +62,6 @@ func Build(items []Item) (*Tree, error) {
 	return t, nil
 }
 
-// Counter returns the counter queries tally into.
-func (t *Tree) Counter() *vecmath.Counter { return t.counter }
-
 // build arranges items[lo:hi] into a subtree and returns its node index.
 func (t *Tree) build(lo, hi, depth int) int {
 	if lo >= hi {
@@ -87,9 +84,6 @@ func (t *Tree) build(lo, hi, depth int) int {
 
 // Len returns the number of indexed items.
 func (t *Tree) Len() int { return len(t.items) }
-
-// Dim returns the dimensionality of the indexed points.
-func (t *Tree) Dim() int { return t.dim }
 
 // Range returns all items within distance eps of q (inclusive), sorted by
 // ascending distance. q itself is included when indexed.

@@ -45,7 +45,7 @@ func TestBuildValidation(t *testing.T) {
 		t.Error("mixed dims accepted")
 	}
 	tr, err := Build([]Item{{ID: 1, P: vecmath.Point{1, 2}}})
-	if err != nil || tr.Len() != 1 || tr.Dim() != 2 {
+	if err != nil || tr.Len() != 1 {
 		t.Fatalf("Build singleton: %v %v", tr, err)
 	}
 }

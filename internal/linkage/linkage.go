@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"incbubbles/internal/vecmath"
 )
 
 // Merge is one agglomeration step: clusters A and B (cluster IDs) merge at
@@ -122,37 +120,6 @@ func NewFromMatrix(dist [][]float64, weights []int) (*Dendrogram, error) {
 		next++
 	}
 	return d, nil
-}
-
-// NewFromPoints builds the dendrogram of weighted points under Euclidean
-// distance, tallying the O(n²) distance evaluations into a throwaway
-// counter. Use NewFromPointsCounted to fold them into shared accounting.
-func NewFromPoints(pts []vecmath.Point, weights []int) (*Dendrogram, error) {
-	return NewFromPointsCounted(pts, weights, nil)
-}
-
-// NewFromPointsCounted is NewFromPoints with the distance evaluations
-// counted into c (a fresh private counter when nil).
-func NewFromPointsCounted(pts []vecmath.Point, weights []int, c *vecmath.Counter) (*Dendrogram, error) {
-	n := len(pts)
-	if n == 0 {
-		return nil, errors.New("linkage: no points")
-	}
-	if c == nil {
-		c = new(vecmath.Counter)
-	}
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := c.Distance(pts[i], pts[j])
-			dist[i][j] = d
-			dist[j][i] = d
-		}
-	}
-	return NewFromMatrix(dist, weights)
 }
 
 // Len returns the number of leaf objects.

@@ -9,6 +9,24 @@ import (
 	"incbubbles/internal/vecmath"
 )
 
+// fromPoints builds the dendrogram of weighted points under Euclidean
+// distance.
+func fromPoints(pts []vecmath.Point, weights []int) (*Dendrogram, error) {
+	var c vecmath.Counter
+	dist := make([][]float64, len(pts))
+	for i := range dist {
+		dist[i] = make([]float64, len(pts))
+	}
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			d := c.Distance(pts[i], pts[j])
+			dist[i][j] = d
+			dist[j][i] = d
+		}
+	}
+	return NewFromMatrix(dist, weights)
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := NewFromMatrix(nil, nil); err == nil {
 		t.Error("empty matrix accepted")
@@ -19,13 +37,10 @@ func TestValidation(t *testing.T) {
 	if _, err := NewFromMatrix([][]float64{{0}}, []int{1, 2}); err == nil {
 		t.Error("weight mismatch accepted")
 	}
-	if _, err := NewFromPoints(nil, nil); err == nil {
-		t.Error("no points accepted")
-	}
 }
 
 func TestSingleObject(t *testing.T) {
-	d, err := NewFromPoints([]vecmath.Point{{0}}, nil)
+	d, err := fromPoints([]vecmath.Point{{0}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +55,7 @@ func TestSingleObject(t *testing.T) {
 func TestLineSingleLink(t *testing.T) {
 	// 1-d points 0, 1, 2, 10: single link merges 0-1-2 chain first.
 	pts := []vecmath.Point{{0}, {1}, {2}, {10}}
-	d, err := NewFromPoints(pts, nil)
+	d, err := fromPoints(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +83,7 @@ func TestLineSingleLink(t *testing.T) {
 
 func TestCutK(t *testing.T) {
 	pts := []vecmath.Point{{0}, {1}, {10}, {11}, {50}}
-	d, err := NewFromPoints(pts, nil)
+	d, err := fromPoints(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +124,7 @@ func TestDendrogramProperties(t *testing.T) {
 		for i := range pts {
 			pts[i] = rng.GaussianPoint(vecmath.Point{0, 0}, 10)
 		}
-		d, err := NewFromPoints(pts, nil)
+		d, err := fromPoints(pts, nil)
 		if err != nil {
 			return false
 		}
@@ -154,7 +169,7 @@ func TestDisconnectedMatrix(t *testing.T) {
 }
 
 func TestWeightsCarried(t *testing.T) {
-	d, err := NewFromPoints([]vecmath.Point{{0}, {5}}, []int{10, 20})
+	d, err := fromPoints([]vecmath.Point{{0}, {5}}, []int{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}

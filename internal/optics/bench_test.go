@@ -21,7 +21,7 @@ func benchBubbleSet(b *testing.B, points, bubbles int) *bubble.Set {
 		}
 		db.Insert(rng.GaussianPoint(c, 3), i%2)
 	}
-	set, err := bubble.Build(db, bubbles, bubble.Options{UseTriangleInequality: true, TrackMembers: true, RNG: stats.NewRNG(2)})
+	set, err := bubble.Build(db, bubbles, bubble.Options{UseTriangleInequality: true, RNG: stats.NewRNG(2)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,28 +19,26 @@ import (
 // ClusteringFScore over a BubbleSpace with one over a CFSpace built from
 // the same database.
 type CFSpace struct {
-	feats   []*cf.Feature
 	cents   []vecmath.Point
 	weights []int
 	dists   [][]float64
 }
 
-// NewCFSpace snapshots the given clustering features (empty ones are
-// skipped).
+// NewCFSpace snapshots the centroids and populations of the given
+// clustering features (empty ones are skipped).
 func NewCFSpace(feats []*cf.Feature) (*CFSpace, error) {
 	s := &CFSpace{}
 	for _, f := range feats {
 		if f.N() == 0 {
 			continue
 		}
-		s.feats = append(s.feats, f.Clone())
 		s.cents = append(s.cents, f.Centroid())
 		s.weights = append(s.weights, f.N())
 	}
-	if len(s.feats) == 0 {
+	if len(s.cents) == 0 {
 		return nil, errors.New("optics: no non-empty clustering features")
 	}
-	n := len(s.feats)
+	n := len(s.cents)
 	s.dists = make([][]float64, n)
 	for i := range s.dists {
 		s.dists[i] = make([]float64, n)
@@ -59,7 +57,7 @@ func NewCFSpace(feats []*cf.Feature) (*CFSpace, error) {
 }
 
 // Len implements Space.
-func (s *CFSpace) Len() int { return len(s.feats) }
+func (s *CFSpace) Len() int { return len(s.cents) }
 
 // Weight implements Space.
 func (s *CFSpace) Weight(i int) int { return s.weights[i] }
@@ -67,13 +65,10 @@ func (s *CFSpace) Weight(i int) int { return s.weights[i] }
 // ID implements Space: the index of the feature.
 func (s *CFSpace) ID(i int) uint64 { return uint64(i) }
 
-// Feature returns the i-th (cloned) clustering feature.
-func (s *CFSpace) Feature(i int) *cf.Feature { return s.feats[i] }
-
 // Neighbors implements Space by matrix scan.
 func (s *CFSpace) Neighbors(i int, eps float64) []Neighbor {
-	out := make([]Neighbor, 0, len(s.feats))
-	for j := range s.feats {
+	out := make([]Neighbor, 0, len(s.cents))
+	for j := range s.cents {
 		d := s.dists[i][j]
 		if d <= eps || math.IsInf(eps, 1) {
 			out = append(out, Neighbor{Idx: j, Dist: d})

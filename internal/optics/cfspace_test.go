@@ -53,10 +53,6 @@ func TestCFSpaceBasics(t *testing.T) {
 	if got := s.CoreDist(0, nb, 10); !math.IsInf(got, 1) {
 		t.Fatalf("CoreDist(10)=%v want Inf", got)
 	}
-	// Features are cloned.
-	if s.Feature(0) == a {
-		t.Fatal("CFSpace shares caller's features")
-	}
 }
 
 func TestCFSpaceOrderingSeparatesClusters(t *testing.T) {

@@ -207,7 +207,6 @@ func buildBubbleSet(t *testing.T, seed int64) (*bubble.Set, *dataset.DB) {
 	}
 	set, err := bubble.Build(db, 30, bubble.Options{
 		UseTriangleInequality: true,
-		TrackMembers:          true,
 		RNG:                   stats.NewRNG(seed + 1),
 	})
 	if err != nil {

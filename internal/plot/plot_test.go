@@ -105,7 +105,7 @@ func TestBubblesPNG(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		db.Insert(rng.GaussianPoint(vecmath.Point{10, 10}, 3), 0)
 	}
-	set, err := bubble.Build(db, 12, bubble.Options{TrackMembers: true, RNG: stats.NewRNG(3)})
+	set, err := bubble.Build(db, 12, bubble.Options{RNG: stats.NewRNG(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

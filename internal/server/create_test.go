@@ -10,6 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"incbubbles/internal/failpoint"
+	"incbubbles/internal/wal"
 )
 
 // requireNoTenantDir fails unless a rejected create left nothing on disk.
@@ -65,6 +68,33 @@ func TestRejectedCreateKeepsRootRestartable(t *testing.T) {
 		t.Fatalf("second restart opened %d tenants, want 3", n)
 	}
 	if err := e3.srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedCreateKeepsRootRestartable pins that a create failing at its
+// initial checkpoint (500 create_failed) leaves the root restartable: a
+// new server skips the directory as an unfinished create, and a re-PUT
+// of the same name creates the tenant afresh.
+func TestFailedCreateKeepsRootRestartable(t *testing.T) {
+	root := t.TempDir()
+	reg := failpoint.New(7)
+	e := newTestEnv(t, Options{Root: root, Failpoints: reg})
+	reg.ArmError(wal.FailCkptWrite, 1, nil)
+	b, _ := json.Marshal(TenantConfig{Dim: 2, Bubbles: 4, RetryAttempts: 1, Bootstrap: mkBootstrap(2, 8, 31)})
+	resp, reply := e.do(t, http.MethodPut, "/tenants/broken", bytes.NewReader(b))
+	if resp.StatusCode != http.StatusInternalServerError || reply["reason"] != ReasonCreateFailed {
+		t.Fatalf("create with a failing checkpoint write: %d %v, want 500 %s", resp.StatusCode, reply, ReasonCreateFailed)
+	}
+	if err := e.srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e2 := newTestEnv(t, Options{Root: root})
+	if n := len(e2.srv.TenantStatuses()); n != 0 {
+		t.Fatalf("restart opened %d tenants, want 0", n)
+	}
+	e2.createTenant(t, "broken", TenantConfig{Dim: 2, Bubbles: 4, Bootstrap: mkBootstrap(2, 8, 31)})
+	if err := e2.srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

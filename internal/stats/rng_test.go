@@ -27,9 +27,38 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
+// moments accumulates a sample's mean and population standard deviation
+// with Welford's algorithm: the oracle the generator tests check their
+// draws against.
+type moments struct {
+	n    int
+	mean float64
+	m2   float64
+}
+
+// Add incorporates x into the sample.
+func (r *moments) Add(x float64) {
+	r.n++
+	d := x - r.mean
+	r.mean += d / float64(r.n)
+	r.m2 += d * (x - r.mean)
+}
+
+// Mean returns the sample mean (0 for an empty sample).
+func (r *moments) Mean() float64 { return r.mean }
+
+// StdDev returns the population standard deviation (0 for fewer than 2
+// samples).
+func (r *moments) StdDev() float64 {
+	if r.n < 2 {
+		return 0
+	}
+	return math.Sqrt(r.m2 / float64(r.n))
+}
+
 func TestNormalMoments(t *testing.T) {
 	g := NewRNG(7)
-	var r Running
+	var r moments
 	for i := 0; i < 20000; i++ {
 		r.Add(g.Normal(10, 2))
 	}
@@ -44,7 +73,7 @@ func TestNormalMoments(t *testing.T) {
 func TestGaussianPoint(t *testing.T) {
 	g := NewRNG(3)
 	c := vecmath.Point{100, -50, 3}
-	var dims [3]Running
+	var dims [3]moments
 	for i := 0; i < 5000; i++ {
 		p := g.GaussianPoint(c, 1.5)
 		if p.Dim() != 3 {
@@ -68,7 +97,7 @@ func TestGaussianPointStds(t *testing.T) {
 	g := NewRNG(4)
 	c := vecmath.Point{0, 0}
 	stds := []float64{0.5, 4}
-	var a0, a1 Running
+	var a0, a1 moments
 	for i := 0; i < 5000; i++ {
 		p := g.GaussianPointStds(c, stds)
 		a0.Add(p[0])

@@ -25,7 +25,6 @@ func buildCleanSet(t *testing.T) (*bubble.Set, int) {
 	}
 	set, err := bubble.Build(db, 12, bubble.Options{
 		UseTriangleInequality: true,
-		TrackMembers:          true,
 		RNG:                   stats.NewRNG(8),
 	})
 	if err != nil {
@@ -166,7 +165,7 @@ func TestAuditEmptyResidue(t *testing.T) {
 	// Hand-craft a snapshot with an n=0 bubble retaining nonzero SS.
 	raw := `{"version":1,"dim":2,"bubbles":[` +
 		`{"seed":[0,0],"n":0,"ls":[0,0],"ss":3.5},` +
-		`{"seed":[5,5],"n":2,"ls":[10,10],"ss":101}]}`
+		`{"seed":[5,5],"n":2,"ls":[10,10],"ss":101,"members":[1,2]}]}`
 	set, err := bubble.Load(strings.NewReader(raw), bubble.Options{})
 	if err != nil {
 		t.Fatal(err)

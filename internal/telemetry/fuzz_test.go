@@ -17,7 +17,7 @@ import (
 // violations, never panic.
 func FuzzAudit(f *testing.F) {
 	var buf bytes.Buffer
-	set, _ := bubble.NewSet(2, bubble.Options{UseTriangleInequality: true, TrackMembers: true})
+	set, _ := bubble.NewSet(2, bubble.Options{UseTriangleInequality: true})
 	set.AddBubble([]float64{0, 0})
 	set.AddBubble([]float64{5, 5})
 	set.AssignTo(0, 1, []float64{0.5, 0})
@@ -26,9 +26,9 @@ func FuzzAudit(f *testing.F) {
 	f.Add(buf.Bytes(), 2)
 	// Unrealizable statistics Load accepts: SS below ‖LS‖²/n, empty-bubble
 	// residue, huge magnitudes.
-	f.Add([]byte(`{"version":1,"dim":2,"bubbles":[{"seed":[0,0],"n":3,"ls":[9,9],"ss":1}]}`), 3)
+	f.Add([]byte(`{"version":1,"dim":2,"bubbles":[{"seed":[0,0],"n":3,"ls":[9,9],"ss":1,"members":[1,2,3]}]}`), 3)
 	f.Add([]byte(`{"version":1,"dim":2,"bubbles":[{"seed":[0,0],"n":0,"ls":[1,0],"ss":7}]}`), 0)
-	f.Add([]byte(`{"version":1,"dim":1,"bubbles":[{"seed":[1e308],"n":1,"ls":[-1e308],"ss":-1e308}]}`), 1)
+	f.Add([]byte(`{"version":1,"dim":1,"bubbles":[{"seed":[1e308],"n":1,"ls":[-1e308],"ss":-1e308,"members":[1]}]}`), 1)
 	f.Add([]byte(`{"version":1,"dim":3,"bubbles":[]}`), -5)
 	f.Fuzz(func(t *testing.T, data []byte, totalPoints int) {
 		s, err := bubble.Load(bytes.NewReader(data), bubble.Options{})

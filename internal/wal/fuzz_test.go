@@ -2,11 +2,17 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 
+	"incbubbles/internal/core"
 	"incbubbles/internal/dataset"
+	"incbubbles/internal/synth"
 	"incbubbles/internal/vecmath"
 )
 
@@ -128,6 +134,110 @@ func FuzzSegmentScan(f *testing.F) {
 				}
 				off += frameBytes + n
 			}
+		}
+	})
+}
+
+// fuzzCoreOpts configures every summarizer FuzzResumeCheckpoint builds
+// or resumes.
+func fuzzCoreOpts() core.Options {
+	return core.Options{NumBubbles: 4, UseTriangleInequality: true, Seed: 5}
+}
+
+// checkpointBody returns the checkpoint of a small summarizer one batch
+// in, without its magic and CRC: the part FuzzResumeCheckpoint fuzzes.
+func checkpointBody(f *testing.F) []byte {
+	f.Helper()
+	sc, err := synth.NewScenario(synth.Config{Kind: synth.Complex, InitialPoints: 40, Batches: 1, Seed: 21})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := core.New(sc.DB(), fuzzCoreOpts())
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := sc.NextBatch()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.ApplyBatchContext(context.Background(), b); err != nil {
+		f.Fatal(err)
+	}
+	data, err := encodeCheckpoint(s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data[len(checkpointMagic) : len(data)-4]
+}
+
+// snapshotOffset returns where the snapshot length field starts in a
+// well-formed checkpoint body.
+func snapshotOffset(body []byte) int {
+	dim := int(binary.LittleEndian.Uint32(body[16:]))
+	return 36 + int(binary.LittleEndian.Uint64(body[28:]))*(16+dim*8)
+}
+
+// resumeCheckpoint writes data as the only file of a fresh WAL directory,
+// named after ordinal, and resumes it.
+func resumeCheckpoint(t *testing.T, ordinal uint64, data []byte) (*RecoveredState, error) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ckptName(ordinal)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Resume(fuzzCoreOpts(), Options{Dir: dir})
+}
+
+// FuzzResumeCheckpoint hands Resume a checkpoint whose body the fuzzer
+// supplies. The harness adds the magic and a correct CRC, so the parser
+// behind the CRC is what gets exercised, and names the file after the
+// body's ordinal field. Resume must never panic; a state it accepts must
+// pass CheckInvariants, and its fingerprint, written back as a
+// checkpoint and resumed, must fingerprint identically.
+func FuzzResumeCheckpoint(f *testing.F) {
+	body := checkpointBody(f)
+	f.Add(body)
+	// The same checkpoint with a snapshot whose bubbles list no member
+	// IDs, which bubble.Load rejects.
+	at := snapshotOffset(body)
+	noMembers := regexp.MustCompile(`,"members":\[[0-9,]*\]`).ReplaceAll(body[at+4:], nil)
+	noMembers = bytes.Replace(noMembers, []byte(`"members":true`), []byte(`"members":false`), 1)
+	spliced := append(append([]byte(nil), body[:at]...), binary.LittleEndian.AppendUint32(nil, uint32(len(noMembers)))...)
+	f.Add(append(spliced, noMembers...))
+	// A record table cut short.
+	f.Add(append([]byte(nil), body[:36+(at-36)/2]...))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 1<<16 {
+			return // bound the restored database
+		}
+		var ordinal uint64
+		if len(body) >= 8 {
+			ordinal = binary.LittleEndian.Uint64(body)
+		}
+		data := append([]byte(checkpointMagic), body...)
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
+		st, err := resumeCheckpoint(t, ordinal, data)
+		if err != nil {
+			return
+		}
+		defer st.Log.Close()
+		if err := st.Summarizer.Set().CheckInvariants(); err != nil {
+			t.Fatalf("resumed state violates invariants: %v", err)
+		}
+		fp, err := Fingerprint(st.Summarizer)
+		if err != nil {
+			t.Fatalf("fingerprint of a resumed state: %v", err)
+		}
+		again, err := resumeCheckpoint(t, uint64(st.Batches), fp)
+		if err != nil {
+			t.Fatalf("resumed state's own checkpoint does not resume: %v", err)
+		}
+		defer again.Log.Close()
+		fp2, err := Fingerprint(again.Summarizer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fp, fp2) {
+			t.Fatal("fingerprint changed across a checkpoint round trip")
 		}
 	})
 }

@@ -25,10 +25,12 @@ func HasState(dir string) bool {
 }
 
 // New builds a fresh durable summarizer: it creates the WAL directory,
-// opens segment 0, constructs the summarizer over db with the log wired
-// in as its durability layer, and takes checkpoint 0 so the directory is
-// resumable from the first moment. The directory must not already hold
-// durable state — Resume owns that case.
+// constructs the summarizer over db with the log wired in as its
+// durability layer, and takes checkpoint 0 so the directory is resumable
+// from the first moment. Segment 0 is opened only once that checkpoint is
+// installed (by its rotation), so a New that fails before then leaves no
+// durable state behind. The directory must not already hold durable
+// state — Resume owns that case.
 func New(db *dataset.DB, coreOpts core.Options, walOpts Options) (*core.Summarizer, *Log, error) {
 	walOpts = walOpts.withDefaults()
 	if HasState(walOpts.Dir) {
@@ -36,9 +38,6 @@ func New(db *dataset.DB, coreOpts core.Options, walOpts Options) (*core.Summariz
 	}
 	l, err := newLog(db.Dim(), walOpts)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := l.openSegment(0); err != nil {
 		return nil, nil, err
 	}
 	coreOpts.Durability = l

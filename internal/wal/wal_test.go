@@ -214,6 +214,29 @@ func TestNewRefusesExistingState(t *testing.T) {
 	}
 }
 
+// TestFailedNewLeavesNoState pins that a New whose initial checkpoint
+// fails leaves no durable state: HasState stays false, so the directory
+// is not mistaken for one Resume must own, and a second New succeeds.
+func TestFailedNewLeavesNoState(t *testing.T) {
+	f := makeFixture(t, 250, 1)
+	dir := t.TempDir()
+	reg := failpoint.New(1)
+	reg.ArmError(FailCkptWrite, 1, nil)
+	if _, _, err := New(f.initial.Clone(), coreOpts(), Options{Dir: dir, Failpoints: reg}); !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("New with a failing initial checkpoint: %v", err)
+	}
+	if HasState(dir) {
+		t.Fatal("failed New left durable state behind")
+	}
+	_, l, err := New(f.initial.Clone(), coreOpts(), Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("New after a failed New: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestResumeEmptyDir(t *testing.T) {
 	if _, err := Resume(coreOpts(), Options{Dir: t.TempDir()}); !errors.Is(err, ErrNoState) {
 		t.Fatalf("want ErrNoState, got %v", err)
