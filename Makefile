@@ -49,9 +49,10 @@ microbench:
 # codec+auditor composition, bubble membership under churn against a
 # model, the CSV reader, the telemetry auditor and the Prometheus
 # writer/parser pair (DESIGN.md §8), the seed distance matrix oracle and
-# the Figure 2 search's brute-force differential (DESIGN.md §12), the WAL
-# codecs and checkpoint recovery (DESIGN.md §10), and bubbled's JSON
-# ingest and tenant-create surfaces (DESIGN.md §15).
+# the Figure 2 search's brute-force differential (DESIGN.md §12), the
+# OPTICS bubble space's differential against its sorted reference
+# (DESIGN.md §7), the WAL codecs and checkpoint recovery (DESIGN.md §10),
+# and bubbled's JSON ingest and tenant-create surfaces (DESIGN.md §15).
 FUZZTIME ?= 10s
 audit: vet race
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzSeedMatrix$$' -fuzztime=$(FUZZTIME)
@@ -59,6 +60,7 @@ audit: vet race
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzLoadAudit$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bubble -run='^$$' -fuzz='^FuzzMembers$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/optics -run='^$$' -fuzz='^FuzzBubbleSpace$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzAudit$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzPromRoundTrip$$' -fuzztime=$(FUZZTIME)

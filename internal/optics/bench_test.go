@@ -28,19 +28,39 @@ func benchBubbleSet(b *testing.B, points, bubbles int) *bubble.Set {
 	return set
 }
 
-// BenchmarkRunBubbles measures OPTICS over a 200-bubble summary — the
-// recurring cost of reading an up-to-date hierarchy from the summaries.
+// BenchmarkRunBubbles measures the recurring cost of reading an
+// up-to-date hierarchy from the summaries, one sub-benchmark per layer:
+// space builds the bubble space (its n(n−1)/2 bubble distances) and run
+// is OPTICS over a built space at MinPts 10. The shapes are a 200-bubble
+// 2-d set and the recluster loop's 500 10-d bubbles over 50k Complex
+// points, three batches in.
 func BenchmarkRunBubbles(b *testing.B) {
-	set := benchBubbleSet(b, 20000, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for _, shape := range []struct {
+		name string
+		set  func() *bubble.Set
+	}{
+		{"k200_d2", func() *bubble.Set { return benchBubbleSet(b, 20000, 200) }},
+		{"k500_d10", func() *bubble.Set { return complexSet(b, 10, 50000, 500, 3, 1) }},
+	} {
+		set := shape.set()
+		b.Run(shape.name+"/space", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NewBubbleSpace(set); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		space, err := NewBubbleSpace(set)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Run(space, Params{MinPts: 10}); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(shape.name+"/run", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(space, Params{MinPts: 10}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -65,7 +65,8 @@ func (s *CFSpace) Weight(i int) int { return s.weights[i] }
 // ID implements Space: the index of the feature.
 func (s *CFSpace) ID(i int) uint64 { return uint64(i) }
 
-// Neighbors implements Space by matrix scan.
+// Neighbors implements Space by matrix scan; the neighbours come by
+// ascending distance, which CoreDist relies on.
 func (s *CFSpace) Neighbors(i int, eps float64) []Neighbor {
 	out := make([]Neighbor, 0, len(s.cents))
 	for j := range s.cents {

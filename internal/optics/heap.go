@@ -5,23 +5,25 @@ import "math"
 // seedQueue is an indexed min-heap over object indices keyed by current
 // reachability distance, supporting the decrease-key updates OPTICS's
 // OrderSeeds structure needs. Ties break on smaller object index so runs
-// are deterministic.
+// are deterministic. A queue drained by pop is empty again and can be
+// reused for the next connected component.
 type seedQueue struct {
-	heap  []int       // object indices
-	pos   map[int]int // object index -> heap position
-	reach []float64   // shared reachability array (indexed by object)
+	heap  []int     // object indices
+	pos   []int     // object index -> heap position, -1 when absent
+	reach []float64 // shared reachability array (indexed by object)
 }
 
 func newSeedQueue(n int, reach []float64) *seedQueue {
-	return &seedQueue{pos: make(map[int]int, n), reach: reach}
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return &seedQueue{heap: make([]int, 0, n), pos: pos, reach: reach}
 }
 
 func (q *seedQueue) len() int { return len(q.heap) }
 
-func (q *seedQueue) contains(i int) bool {
-	_, ok := q.pos[i]
-	return ok
-}
+func (q *seedQueue) contains(i int) bool { return q.pos[i] >= 0 }
 
 func (q *seedQueue) less(a, b int) bool {
 	ra, rb := q.reach[q.heap[a]], q.reach[q.heap[b]]
@@ -76,7 +78,7 @@ func (q *seedQueue) push(i int) {
 
 // decrease re-establishes heap order after reach[i] decreased.
 func (q *seedQueue) decrease(i int) {
-	if p, ok := q.pos[i]; ok {
+	if p := q.pos[i]; p >= 0 {
 		q.up(p)
 	}
 }
@@ -87,7 +89,7 @@ func (q *seedQueue) pop() int {
 	last := len(q.heap) - 1
 	q.swap(0, last)
 	q.heap = q.heap[:last]
-	delete(q.pos, top)
+	q.pos[top] = -1
 	if last > 0 {
 		q.down(0)
 	}

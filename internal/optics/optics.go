@@ -66,8 +66,8 @@ func Run(space Space, params Params) (*Result, error) {
 	if eps == 0 {
 		eps = math.Inf(1)
 	}
-	if eps < 0 {
-		return nil, errors.New("optics: negative eps")
+	if eps < 0 || math.IsNaN(eps) {
+		return nil, errors.New("optics: eps must be a non-negative number")
 	}
 
 	n := space.Len()
@@ -77,6 +77,7 @@ func Run(space Space, params Params) (*Result, error) {
 		reach[i] = undefined
 	}
 	order := make([]Entry, 0, n)
+	seeds := newSeedQueue(n, reach)
 
 	emit := func(i int, core float64) {
 		order = append(order, Entry{
@@ -99,7 +100,6 @@ func Run(space Space, params Params) (*Result, error) {
 		if math.IsInf(core, 1) {
 			continue
 		}
-		seeds := newSeedQueue(n, reach)
 		update(space, seeds, neighbors, core, processed, reach)
 		for seeds.len() > 0 {
 			j := seeds.pop()

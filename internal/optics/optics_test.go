@@ -46,6 +46,18 @@ func TestSeedQueue(t *testing.T) {
 	if q.len() != 0 {
 		t.Fatalf("len=%d", q.len())
 	}
+	// A drained queue holds nothing and serves the next component.
+	for i := 0; i < 5; i++ {
+		if q.contains(i) {
+			t.Fatalf("drained queue still contains %d", i)
+		}
+	}
+	reach[4], reach[2] = 0, 9
+	q.push(2)
+	q.push(4)
+	if got := q.pop(); got != 4 || !q.contains(2) || q.contains(4) {
+		t.Fatalf("reused queue: pop=%d contains(2)=%v contains(4)=%v", got, q.contains(2), q.contains(4))
+	}
 }
 
 func TestSeedQueueTieBreak(t *testing.T) {
@@ -73,6 +85,9 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(ps, Params{MinPts: 5, Eps: -1}); err == nil {
 		t.Error("negative eps accepted")
+	}
+	if _, err := Run(ps, Params{MinPts: 5, Eps: math.NaN()}); err == nil {
+		t.Error("NaN eps accepted")
 	}
 	if _, err := NewPointSpace(nil); err == nil {
 		t.Error("empty point space accepted")
@@ -231,19 +246,27 @@ func TestBubbleSpace(t *testing.T) {
 	if w != db.Len() {
 		t.Fatalf("weights sum to %d want %d", w, db.Len())
 	}
-	// Neighbors include self at distance 0 and are sorted.
-	nb := bs.Neighbors(0, math.Inf(1))
-	if nb[0].Idx != 0 || nb[0].Dist != 0 {
-		t.Fatalf("self neighbour missing: %+v", nb[0])
-	}
-	for i := 1; i < len(nb); i++ {
-		if nb[i].Dist < nb[i-1].Dist {
-			t.Fatal("neighbours unsorted")
+	// Row i holds every object exactly once, at its matrix distance, with
+	// itself at 0; the matrix is symmetric.
+	dm := bs.DistanceMatrix()
+	for i := 0; i < bs.Len(); i++ {
+		nb := bs.Neighbors(i, math.Inf(1))
+		if len(nb) != bs.Len() {
+			t.Fatalf("row %d holds %d entries, want %d", i, len(nb), bs.Len())
 		}
-	}
-	// Symmetric distances.
-	if d1, d2 := bs.dists[0][1], bs.dists[1][0]; d1 != d2 {
-		t.Fatalf("asymmetric distances %v vs %v", d1, d2)
+		seen := make([]bool, bs.Len())
+		for _, e := range nb {
+			if seen[e.Idx] {
+				t.Fatalf("row %d lists object %d twice", i, e.Idx)
+			}
+			seen[e.Idx] = true
+			if e.Dist != dm[i][e.Idx] || e.Dist != dm[e.Idx][i] {
+				t.Fatalf("row %d: object %d at %v, matrix holds %v and %v", i, e.Idx, e.Dist, dm[i][e.Idx], dm[e.Idx][i])
+			}
+			if e.Idx == i && e.Dist != 0 {
+				t.Fatalf("row %d: self at %v", i, e.Dist)
+			}
+		}
 	}
 }
 
@@ -256,7 +279,7 @@ func TestBubbleDistanceFormula(t *testing.T) {
 	}
 	for i := 0; i < bs.Len(); i++ {
 		for j := i + 1; j < bs.Len(); j++ {
-			d := bs.dists[i][j]
+			d := bs.row(i)[j].Dist
 			if d < 0 {
 				t.Fatalf("negative bubble distance %v", d)
 			}

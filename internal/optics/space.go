@@ -7,10 +7,11 @@
 package optics
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"incbubbles/internal/bubble"
@@ -35,10 +36,14 @@ type Space interface {
 	// (1 for raw points, n for a data bubble).
 	Weight(i int) int
 	// Neighbors returns all objects within eps of object i, including i
-	// itself, sorted by ascending distance.
+	// itself, each exactly once. The order is the implementation's own:
+	// Run's result does not depend on it, because the seed queue pops by
+	// the total order (reach, index) and an update keeps the minimum
+	// reach. The caller must not modify the returned slice.
 	Neighbors(i int, eps float64) []Neighbor
 	// CoreDist returns the core distance of object i with respect to
-	// minPts given its eps-neighbourhood, or +Inf when undefined.
+	// minPts given its eps-neighbourhood as Neighbors returned it, or +Inf
+	// when undefined.
 	CoreDist(i int, neighbors []Neighbor, minPts int) float64
 	// ID returns a stable external identifier for object i (a point ID or
 	// a bubble index).
@@ -88,7 +93,8 @@ func (s *PointSpace) ID(i int) uint64 { return s.items[i].ID }
 // Point returns the coordinates of object i.
 func (s *PointSpace) Point(i int) vecmath.Point { return s.items[i].P }
 
-// Neighbors implements Space using an ε-range query.
+// Neighbors implements Space using an ε-range query; the neighbours come
+// by ascending distance, which CoreDist relies on.
 func (s *PointSpace) Neighbors(i int, eps float64) []Neighbor {
 	var found []kdtree.Neighbor
 	if math.IsInf(eps, 1) {
@@ -120,6 +126,10 @@ func (s *PointSpace) CoreDist(_ int, neighbors []Neighbor, minPts int) float64 {
 //
 // Empty bubbles are excluded: they compress no points and must not appear
 // in the clustering structure.
+//
+// The space holds the n×n distance matrix as one row store in index
+// order: entry j of row i is {j, d(i,j)}. No row is sorted, because only
+// CoreDist's small-bubble branch needs distance order (see CoreDist).
 type BubbleSpace struct {
 	set     *bubble.Set
 	idx     []int // positions of non-empty bubbles in the set
@@ -127,8 +137,7 @@ type BubbleSpace struct {
 	extents []float64
 	nn1     []float64
 	weights []int
-	dists   [][]float64  // symmetric pairwise distance matrix
-	order   [][]Neighbor // per object: all objects by ascending distance
+	rows    []Neighbor // row i is rows[i*n : (i+1)*n], in index order
 	ctr     *vecmath.Counter
 }
 
@@ -169,10 +178,10 @@ func NewBubbleSpaceTelemetry(set *bubble.Set, workers int, sink *telemetry.Sink,
 }
 
 // NewBubbleSpaceWorkers is NewBubbleSpace with an explicit worker bound for
-// the O(n²) pairwise-distance and neighbour-order precomputation that
-// powers Neighbors and the OPTICS core-distance computation (≤0 selects
-// GOMAXPROCS). Each row of the precomputation is pure, so the space is
-// identical for every worker count.
+// the n(n−1)/2 pairwise bubble distances that fill the row store behind
+// Neighbors and CoreDist (≤0 selects GOMAXPROCS). Every cell is written
+// exactly once from a pure computation, so the space is identical for
+// every worker count.
 func NewBubbleSpaceWorkers(set *bubble.Set, workers int) (*BubbleSpace, error) {
 	// The build tallies into a private counter, not the set's: space
 	// construction is clustering-side work and must not perturb the
@@ -192,39 +201,20 @@ func NewBubbleSpaceWorkers(set *bubble.Set, workers int) (*BubbleSpace, error) {
 		return nil, errors.New("optics: no non-empty bubbles")
 	}
 	n := len(s.idx)
-	w := parallel.Workers(workers, n)
-	s.dists = make([][]float64, n)
-	for i := range s.dists {
-		s.dists[i] = make([]float64, n)
-	}
-	// Row i fills the pairs (i, j>i). Rows are preallocated above and no
-	// two rows ever write the same cell, so the fan-out is race-free.
-	if err := parallel.ForEach(context.Background(), n, w, func(i int) error {
+	s.rows = make([]Neighbor, n*n)
+	// Row i writes its diagonal cell, its cells (i, j>i) and their mirrors
+	// (j, i): every cell has exactly one writer, so the fan-out is
+	// race-free. Each row tallies locally and adds its count once.
+	if err := parallel.ForEach(context.Background(), n, parallel.Workers(workers, n), func(i int) error {
+		var tally vecmath.Tally
+		row := s.rows[i*n : (i+1)*n]
+		row[i] = Neighbor{Idx: i}
 		for j := i + 1; j < n; j++ {
-			d := s.bubbleDist(i, j)
-			s.dists[i][j] = d
-			s.dists[j][i] = d
+			d := s.bubbleDist(&tally, i, j)
+			row[j] = Neighbor{Idx: j, Dist: d}
+			s.rows[j*n+i] = Neighbor{Idx: i, Dist: d}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// Sort every object's neighbourhood once, concurrently; Neighbors then
-	// copies a prefix instead of re-sorting on each OPTICS expansion. Ties
-	// break by index so the ordering is deterministic.
-	s.order = make([][]Neighbor, n)
-	if err := parallel.ForEach(context.Background(), n, w, func(i int) error {
-		row := make([]Neighbor, n)
-		for j := 0; j < n; j++ {
-			row[j] = Neighbor{Idx: j, Dist: s.dists[i][j]}
-		}
-		sort.Slice(row, func(a, b int) bool {
-			if row[a].Dist != row[b].Dist {
-				return row[a].Dist < row[b].Dist
-			}
-			return row[a].Idx < row[b].Idx
-		})
-		s.order[i] = row
+		tally.AddTo(s.ctr)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -232,8 +222,8 @@ func NewBubbleSpaceWorkers(set *bubble.Set, workers int) (*BubbleSpace, error) {
 	return s, nil
 }
 
-func (s *BubbleSpace) bubbleDist(i, j int) float64 {
-	dRep := s.ctr.Distance(s.reps[i], s.reps[j])
+func (s *BubbleSpace) bubbleDist(tally *vecmath.Tally, i, j int) float64 {
+	dRep := tally.Distance(s.reps[i], s.reps[j])
 	sep := dRep - (s.extents[i] + s.extents[j])
 	if sep >= 0 {
 		return sep + s.nn1[i] + s.nn1[j]
@@ -263,9 +253,14 @@ func (s *BubbleSpace) NNDist(i, k int) float64 {
 // for feeding a different hierarchical algorithm (single-link) with the
 // same corrected distances OPTICS uses.
 func (s *BubbleSpace) DistanceMatrix() [][]float64 {
-	out := make([][]float64, len(s.dists))
-	for i, row := range s.dists {
-		out[i] = append([]float64(nil), row...)
+	n := len(s.idx)
+	out := make([][]float64, n)
+	for i := range out {
+		row := make([]float64, n)
+		for j, nb := range s.row(i) {
+			row[j] = nb.Dist
+		}
+		out[i] = row
 	}
 	return out
 }
@@ -275,27 +270,49 @@ func (s *BubbleSpace) Weights() []int {
 	return append([]int(nil), s.weights...)
 }
 
-// Neighbors implements Space by slicing the precomputed ascending-distance
-// neighbour order of object i at eps.
+// row returns row i of the store, capped so that an append cannot reach
+// row i+1.
+func (s *BubbleSpace) row(i int) []Neighbor {
+	n := len(s.idx)
+	return s.rows[i*n : (i+1)*n : (i+1)*n]
+}
+
+// Neighbors implements Space. At eps = +Inf it returns row i of the store
+// itself, in index order and uncopied; at a finite eps it returns a
+// filtered copy holding the entries with Dist <= eps.
 func (s *BubbleSpace) Neighbors(i int, eps float64) []Neighbor {
-	row := s.order[i]
-	if !math.IsInf(eps, 1) {
-		row = row[:sort.Search(len(row), func(k int) bool { return row[k].Dist > eps })]
+	row := s.row(i)
+	if math.IsInf(eps, 1) {
+		return row
 	}
-	return append([]Neighbor(nil), row...)
+	out := make([]Neighbor, 0, len(row))
+	for _, nb := range row {
+		if nb.Dist <= eps {
+			out = append(out, nb)
+		}
+	}
+	return out
 }
 
 // CoreDist implements Space following Breunig et al.: when the bubble
 // itself holds at least minPts points the core distance is its estimated
 // minPts-nearest-neighbour distance nnDist(minPts); otherwise neighbouring
-// bubbles' populations are accumulated in distance order until minPts
-// points are covered.
+// bubbles' populations are accumulated in (distance, index) order until
+// minPts points are covered. That branch sorts a copy of the
+// neighbourhood, and it is the only code that needs distance order.
 func (s *BubbleSpace) CoreDist(i int, neighbors []Neighbor, minPts int) float64 {
 	if s.weights[i] >= minPts {
 		return s.NNDist(i, minPts)
 	}
+	byDist := slices.Clone(neighbors)
+	slices.SortFunc(byDist, func(a, b Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Idx, b.Idx)
+	})
 	cum := 0
-	for _, nb := range neighbors {
+	for _, nb := range byDist {
 		cum += s.weights[nb.Idx]
 		if cum >= minPts {
 			if nb.Idx == i {

@@ -575,7 +575,9 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request, t *tena
 }
 
 // handlePlot runs OPTICS over the snapshot and returns the bubble-level
-// reachability ordering. Snapshot isolation means a plot during heavy
+// reachability ordering; the space build and the run record their
+// optics.space and optics.run spans and metrics in the tenant's tracer
+// and sink. Snapshot isolation means a plot during heavy
 // ingest (or on a poisoned tenant) serves the last published summary.
 // An absent minpts or eps takes its default (5, +Inf); a present one must
 // be a positive integer or a finite number above 0.
@@ -588,12 +590,12 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request, t *tenant) {
 		return
 	}
 	rs := t.snapshot()
-	space, err := optics.NewBubbleSpace(rs.set)
+	space, err := optics.NewBubbleSpaceTelemetry(rs.set, 0, t.sink, t.tracer)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, ReasonBadRequest, err)
 		return
 	}
-	res, err := optics.Run(space, optics.Params{Eps: eps, MinPts: minPts})
+	res, err := optics.Run(space, optics.Params{Eps: eps, MinPts: minPts, Sink: t.sink, Tracer: t.tracer})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, ReasonPlotFailed, err)
 		return

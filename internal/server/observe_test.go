@@ -336,7 +336,17 @@ func TestTenantTraceEndpoint(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(e.ts.URL + "/tenants/tr/debug/trace")
+	// A plot records its space build and OPTICS run in the tenant's ring.
+	resp, err := http.Get(e.ts.URL + "/tenants/tr/plot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plot: status %d", resp.StatusCode)
+	}
+
+	resp, err = http.Get(e.ts.URL + "/tenants/tr/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +361,20 @@ func TestTenantTraceEndpoint(t *testing.T) {
 	if !json.Valid(chrome) {
 		t.Fatalf("trace: invalid JSON: %.200s", chrome)
 	}
-	for _, span := range []string{"server.ingest", "core.batch"} {
+	for _, span := range []string{"server.ingest", "core.batch", "optics.space", "optics.run"} {
 		if !bytes.Contains(chrome, []byte(span)) {
 			t.Errorf("chrome trace missing span %q", span)
+		}
+	}
+
+	// The plot's optics families reach /metrics under the tenant's label.
+	fams, err := scrapeParse(e.ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []string{telemetry.MetricOpticsSpaceBuilds, telemetry.MetricOpticsRuns} {
+		if p := promPoint(fams, telemetry.PromName(fam), "tr"); p == nil || p.Value != 1 {
+			t.Errorf("/metrics %s for tenant tr: %+v, want one plot", fam, p)
 		}
 	}
 

@@ -177,6 +177,13 @@ func snapshotOffset(body []byte) int {
 	return 36 + int(binary.LittleEndian.Uint64(body[28:]))*(16+dim*8)
 }
 
+// withSnapshot returns body with its snapshot, which starts at at,
+// replaced by snap.
+func withSnapshot(body []byte, at int, snap []byte) []byte {
+	out := append(append([]byte(nil), body[:at]...), binary.LittleEndian.AppendUint32(nil, uint32(len(snap)))...)
+	return append(out, snap...)
+}
+
 // resumeCheckpoint writes data as the only file of a fresh WAL directory,
 // named after ordinal, and resumes it.
 func resumeCheckpoint(t *testing.T, ordinal uint64, data []byte) (*RecoveredState, error) {
@@ -191,8 +198,9 @@ func resumeCheckpoint(t *testing.T, ordinal uint64, data []byte) (*RecoveredStat
 // supplies. The harness adds the magic and a correct CRC, so the parser
 // behind the CRC is what gets exercised, and names the file after the
 // body's ordinal field. Resume must never panic; a state it accepts must
-// pass CheckInvariants, and its fingerprint, written back as a
-// checkpoint and resumed, must fingerprint identically.
+// pass CheckInvariants and give every database point an owning bubble,
+// and its fingerprint, written back as a checkpoint and resumed, must
+// fingerprint identically.
 func FuzzResumeCheckpoint(f *testing.F) {
 	body := checkpointBody(f)
 	f.Add(body)
@@ -201,8 +209,15 @@ func FuzzResumeCheckpoint(f *testing.F) {
 	at := snapshotOffset(body)
 	noMembers := regexp.MustCompile(`,"members":\[[0-9,]*\]`).ReplaceAll(body[at+4:], nil)
 	noMembers = bytes.Replace(noMembers, []byte(`"members":true`), []byte(`"members":false`), 1)
-	spliced := append(append([]byte(nil), body[:at]...), binary.LittleEndian.AppendUint32(nil, uint32(len(noMembers)))...)
-	f.Add(append(spliced, noMembers...))
+	f.Add(withSnapshot(body, at, noMembers))
+	// The same checkpoint with the first member list's largest ID swapped
+	// for 999999 (the list stays ascending): the snapshot owns an ID the
+	// database does not hold and leaves one database point without an
+	// owner, so recovery must refuse the checkpoint.
+	snap := body[at+4:]
+	last := regexp.MustCompile(`"members":\[(?:[0-9]+,)*([0-9]+)\]`).FindSubmatchIndex(snap)
+	orphaned := append(append(append([]byte(nil), snap[:last[2]]...), "999999"...), snap[last[3]:]...)
+	f.Add(withSnapshot(body, at, orphaned))
 	// A record table cut short.
 	f.Add(append([]byte(nil), body[:36+(at-36)/2]...))
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -223,6 +238,11 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		if err := st.Summarizer.Set().CheckInvariants(); err != nil {
 			t.Fatalf("resumed state violates invariants: %v", err)
 		}
+		st.DB.ForEach(func(r dataset.Record) {
+			if _, ok := st.Summarizer.Set().Owner(r.ID); !ok {
+				t.Fatalf("resumed state leaves database point %d without an owning bubble", r.ID)
+			}
+		})
 		fp, err := Fingerprint(st.Summarizer)
 		if err != nil {
 			t.Fatalf("fingerprint of a resumed state: %v", err)

@@ -235,6 +235,9 @@ func tryRecover(ck fileRef, records map[uint64]record, coreOpts core.Options, wa
 	if err != nil {
 		return nil, err
 	}
+	if err := checkOwnership(s, db); err != nil {
+		return nil, err
+	}
 	psp := csp.Start("wal.replay")
 	replayed, err := replay(s, db, cp, records)
 	psp.SetInt(trace.AttrCount, int64(replayed))
@@ -267,6 +270,25 @@ func tryRecover(ck fileRef, records map[uint64]record, coreOpts core.Options, wa
 		Batches:    s.Batches(),
 		Replayed:   replayed,
 	}, nil
+}
+
+// checkOwnership requires the restored snapshot's member IDs to be
+// exactly the restored database's IDs: as many owned points as records,
+// and every record owned. core.Load trusts the snapshot's IDs, and a
+// replayed delete of a record no bubble owns would fail as a replay fault,
+// truncating good log records, when the damage is in the checkpoint.
+func checkOwnership(s *core.Summarizer, db *dataset.DB) error {
+	set := s.Set()
+	if set.OwnedPoints() != db.Len() {
+		return fmt.Errorf("%w: snapshot owns %d points, database holds %d", ErrBadCheckpoint, set.OwnedPoints(), db.Len())
+	}
+	for i := 0; i < db.Len(); i++ {
+		id := db.At(i).ID
+		if _, ok := set.Owner(id); !ok {
+			return fmt.Errorf("%w: database point %d has no owning bubble", ErrBadCheckpoint, id)
+		}
+	}
+	return nil
 }
 
 // replay re-applies the consecutive run of logged batches starting at the
